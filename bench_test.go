@@ -11,7 +11,6 @@ package centurion
 //   inst/ms        absolute throughput
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -216,37 +215,30 @@ func BenchmarkAblationEmbeddedAIMCost(b *testing.B) {
 
 // BenchmarkPlatformStep measures one full platform tick (routers + PEs + AIM
 // decisions) at steady state. The torus and cmesh variants run the FFW model
-// on the non-mesh fabrics; the parallel-w* variants run the 64×64 fabric
-// through the four-tile tick kernel across the worker axis (w1 is the serial
-// tiled reference — on a single-core runner the higher worker counts measure
-// coordination overhead, not speedup). The allocs/op guard in CI holds every
+// on the non-mesh fabrics; the 64x64 variant runs FFW on a 4096-node mesh
+// after a longer warm-up. The allocs/op guard in CI holds every
 // sub-benchmark to the zero-allocation contract.
 func BenchmarkPlatformStep(b *testing.B) {
 	for _, tc := range []struct {
 		name          string
 		topology      string
 		width, height int
-		workers       int
 		warmMs        float64
 		factory       aim.Factory
 		mapper        taskgraph.Mapper
 	}{
-		{"none", "", 0, 0, 0, 100, aim.NewNone, taskgraph.HeuristicMapper{}},
-		{"ni", "", 0, 0, 0, 100, aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
-		{"ffw", "", 0, 0, 0, 100, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-		{"torus", "torus", 0, 0, 0, 100, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-		{"cmesh", "cmesh", 0, 0, 0, 100, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-		{"parallel-w1", "", 64, 64, 1, 400, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-		{"parallel-w2", "", 64, 64, 2, 400, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-		{"parallel-w4", "", 64, 64, 4, 400, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
+		{"none", "", 0, 0, 100, aim.NewNone, taskgraph.HeuristicMapper{}},
+		{"ni", "", 0, 0, 100, aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
+		{"ffw", "", 0, 0, 100, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
+		{"torus", "torus", 0, 0, 100, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
+		{"cmesh", "cmesh", 0, 0, 100, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
+		{"64x64", "", 64, 64, 400, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := platform.DefaultConfig(tc.factory, tc.mapper, 1)
 			cfg.Topology = tc.topology
 			if tc.width > 0 {
 				cfg.Width, cfg.Height = tc.width, tc.height
-				cfg.NoC.Tiles = 4
-				cfg.NoC.Workers = tc.workers
 			}
 			p := platform.New(cfg)
 			p.RunFor(sim.Ms(tc.warmMs), nil) // reach steady state
@@ -259,29 +251,24 @@ func BenchmarkPlatformStep(b *testing.B) {
 	}
 }
 
-// BenchmarkMegaFabric measures the 256×256 (65,536-node) fabric — the tiled
-// kernel's Table-I-style scale point — at steady state, across the worker
-// axis, and reports the platform's resident heap so BENCH_platform.json
-// tracks a per-scale memory budget alongside the tick cost.
+// BenchmarkMegaFabric measures the 256×256 (65,536-node) huge-mode fabric at
+// steady state and reports the platform's resident heap so
+// BENCH_platform.json tracks a per-scale memory budget alongside the tick
+// cost.
 func BenchmarkMegaFabric(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			cfg := platform.DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 1)
-			cfg.Width, cfg.Height = 256, 256
-			cfg.NoC.Workers = workers
-			p := platform.New(cfg)
-			p.RunFor(sim.Ms(5), nil) // settle: populate caches and staging scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Step()
-			}
-			b.StopTimer()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap_MB")
-		})
+	cfg := platform.DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 1)
+	cfg.Width, cfg.Height = 256, 256
+	p := platform.New(cfg)
+	p.RunFor(sim.Ms(5), nil) // settle: populate caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Step()
 	}
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap_MB")
 }
 
 // BenchmarkSnapshotRestore measures the fork primitive sweep warm-starting

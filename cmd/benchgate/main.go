@@ -5,11 +5,13 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench BenchmarkPlatformStep -benchmem . > bench.out
+//	go test -run '^$' -bench BenchmarkPlatformStep -benchmem -count 3 . > bench.out
 //	go run ./cmd/benchgate -bench bench.out -baseline BENCH_platform.json -tol 0.25
 //
-// Only benchmarks present in both inputs are gated: ns/op must stay within
-// (1+tol)× the snapshot, allocs/op within the snapshot plus a small warm-up
+// A benchmark that appears several times (-count N) is gated on the median
+// of its samples, and its min–max spread is printed. Only benchmarks
+// present in both inputs are gated: ns/op must stay within (1+tol)× the
+// snapshot, allocs/op within the snapshot plus a small warm-up
 // slack, and B/op within the snapshot plus a few bytes of amortised growth.
 // Improvements are reported but never fail the gate (refresh the snapshot to
 // bank them).
@@ -20,8 +22,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -44,23 +48,30 @@ type baselineFile struct {
 	Benchmarks map[string]baselineEntry `json:"benchmarks"`
 }
 
-// measurement is one parsed benchmark result line.
+// measurement is one benchmark's result: a single result line, or the
+// per-field median of every line reported under its name.
 type measurement struct {
 	nsPerOp     float64
 	bPerOp      float64
 	allocsPerOp float64
 	specsPerS   float64
 	hasMem      bool
+	// samples is how many result lines were folded in; nsMin/nsMax and
+	// specsMin/specsMax are their spread.
+	samples            int
+	nsMin, nsMax       float64
+	specsMin, specsMax float64
 }
 
 // benchLine matches `BenchmarkName[-P]  N  X ns/op [...]` output lines.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // parseBench extracts the ns/op, B/op and allocs/op figures from `go test
-// -bench` output. Sub-benchmark names keep their slashes; the -GOMAXPROCS
-// suffix is stripped so names match the snapshot's keys.
+// -bench` output, folding repeated samples of one name into their median.
+// Sub-benchmark names keep their slashes; the -GOMAXPROCS suffix is
+// stripped so names match the snapshot's keys.
 func parseBench(lines []string) map[string]measurement {
-	out := make(map[string]measurement)
+	all := make(map[string][]measurement)
 	for _, line := range lines {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -90,10 +101,61 @@ func parseBench(lines []string) map[string]measurement {
 			}
 		}
 		if seen {
-			out[name] = meas
+			all[name] = append(all[name], meas)
 		}
 	}
+	out := make(map[string]measurement, len(all))
+	for name, samples := range all {
+		out[name] = summarize(samples)
+	}
 	return out
+}
+
+// summarize takes the per-field median of a benchmark's samples and
+// records the ns/op and specs/s spread.
+func summarize(samples []measurement) measurement {
+	field := func(get func(measurement) float64) []float64 {
+		vs := make([]float64, len(samples))
+		for i, m := range samples {
+			vs[i] = get(m)
+		}
+		slices.Sort(vs)
+		return vs
+	}
+	ns := field(func(m measurement) float64 { return m.nsPerOp })
+	specs := field(func(m measurement) float64 { return m.specsPerS })
+	out := measurement{
+		nsPerOp:     median(ns),
+		bPerOp:      median(field(func(m measurement) float64 { return m.bPerOp })),
+		allocsPerOp: median(field(func(m measurement) float64 { return m.allocsPerOp })),
+		specsPerS:   median(specs),
+		samples:     len(samples),
+		nsMin:       ns[0],
+		nsMax:       ns[len(ns)-1],
+		specsMin:    specs[0],
+		specsMax:    specs[len(specs)-1],
+	}
+	for _, m := range samples {
+		out.hasMem = out.hasMem || m.hasMem
+	}
+	return out
+}
+
+// median of a sorted, non-empty slice.
+func median(sorted []float64) float64 {
+	mid := len(sorted) / 2
+	if len(sorted)%2 == 1 {
+		return sorted[mid]
+	}
+	return (sorted[mid-1] + sorted[mid]) / 2
+}
+
+// spread describes a measurement's sample count and min–max range.
+func (m measurement) spread() string {
+	if m.specsPerS > 0 {
+		return fmt.Sprintf("median of %d, %.1f–%.1f specs/s", m.samples, m.specsMin, m.specsMax)
+	}
+	return fmt.Sprintf("median of %d, %.0f–%.0f ns/op", m.samples, m.nsMin, m.nsMax)
 }
 
 // gate compares measurements against the snapshot, returning human-readable
@@ -209,7 +271,13 @@ func run() error {
 		}
 	}
 
-	failures, notes := gate(parseBench(lines), base.Benchmarks, *tol, req)
+	meas := parseBench(lines)
+	for _, name := range slices.Sorted(maps.Keys(meas)) {
+		if m := meas[name]; m.samples > 1 {
+			fmt.Printf("%s: %s\n", name, m.spread())
+		}
+	}
+	failures, notes := gate(meas, base.Benchmarks, *tol, req)
 	for _, n := range notes {
 		fmt.Println("note:", n)
 	}

@@ -45,3 +45,28 @@ func TestGate(t *testing.T) {
 		t.Fatalf("failures = %v, want alloc failure on A and timing failure on B", failures)
 	}
 }
+
+// TestGateMedianOfSamples feeds -count 3 style output: the gate must judge
+// the median of a name's samples, never just its last line.
+func TestGateMedianOfSamples(t *testing.T) {
+	base := map[string]baselineEntry{"BenchmarkA": {NsPerOp: f(1000)}}
+	sample := func(ns string) string {
+		return "BenchmarkA-2   \t    1000\t      " + ns + " ns/op"
+	}
+
+	// The last sample alone (1400) would fail; the median (1100) passes.
+	meas := parseBench([]string{sample("1000"), sample("1100"), sample("1400")})
+	a := meas["BenchmarkA"]
+	if a.samples != 3 || a.nsPerOp != 1100 || a.nsMin != 1000 || a.nsMax != 1400 {
+		t.Fatalf("BenchmarkA parsed as %+v, want median 1100 over 3 samples spanning 1000–1400", a)
+	}
+	if failures, _ := gate(meas, base, 0.25, nil); len(failures) != 0 {
+		t.Fatalf("median within tolerance failed the gate: %v", failures)
+	}
+
+	// The last sample alone (1000) would pass; the median (1400) fails.
+	meas = parseBench([]string{sample("1400"), sample("1500"), sample("1000")})
+	if failures, _ := gate(meas, base, 0.25, nil); len(failures) != 1 {
+		t.Fatalf("failures = %v, want the median regression on BenchmarkA", failures)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // arena, ring slots and router records, PE/engine/directory/thermal state,
 // every RNG stream, the activity sets and the pending wake/retry timers.
 // Everything construction-derived — topology, task graph, routing rows,
-// wiring closures, tile layout — stays with the platform, so restoring a
+// wiring closures — stays with the platform, so restoring a
 // checkpoint into a same-shape platform is a handful of bulk copies, and the
 // fault-aware route tables are shared by reference across every fork.
 //
@@ -175,7 +175,6 @@ func (p *Platform) Restore(cp *Checkpoint) {
 	p.rng.SetState(cp.rng)
 	p.nextPkt, p.nextInst = cp.nextPkt, cp.nextInst
 	p.counters = cp.counters
-	p.netPar = false
 
 	// The arena first: every packet reference restored below resolves
 	// against it.

@@ -28,7 +28,7 @@ import (
 // comparing encoded checkpoints.
 const (
 	ckptMagic     = "CENCKPT1"
-	ckptVersion   = 1
+	ckptVersion   = 2
 	ckptHeaderLen = 8 + 2 + 4 + 4
 )
 
@@ -412,7 +412,7 @@ func appendActiveSetState(b []byte, st *sim.ActiveSetState) []byte {
 	for _, w := range st.Words {
 		b = wire.AppendU64(b, w)
 	}
-	return wire.AppendI64(b, st.N)
+	return wire.AppendI64(b, int64(st.N))
 }
 
 func readActiveSetState(r *wire.Reader, st *sim.ActiveSetState) {
@@ -421,7 +421,7 @@ func readActiveSetState(r *wire.Reader, st *sim.ActiveSetState) {
 	for i := range st.Words {
 		st.Words[i] = r.U64()
 	}
-	st.N = r.I64()
+	st.N = int(r.I64())
 }
 
 func appendTicks(b []byte, ts []sim.Tick) []byte {

@@ -5,8 +5,7 @@ package centurion
 // counters, fabric stats, per-window series, per-node state, and the encoded
 // checkpoint bytes themselves — from the uncheckpointed run, for every
 // model × topology × fault timeline × stepping core, whether the fork lands
-// on a fresh platform or one leased back dirty from a sync.Pool, and whether
-// the fabric ticks serially or on the parallel tiled kernel. The encoded
+// on a fresh platform or one leased back dirty from a sync.Pool. The encoded
 // checkpoint is canonical (identical state → identical bytes), which makes
 // byte comparison the strongest available oracle: it covers the packet
 // arena's books, ring slots, router records, RNG streams and timers that the
@@ -78,8 +77,8 @@ func applySched(p *Platform, sched faults.Schedule) {
 //  2. Source: the same run snapshotted at snapMs, then continued — proving
 //     Snapshot is non-perturbing.
 //  3. Fork: the checkpoint restored into whatever platform fork() supplies
-//     (fresh, pool-leased, different worker count), the timeline re-armed,
-//     and the remaining horizon run.
+//     (fresh or pool-leased), the timeline re-armed, and the remaining
+//     horizon run.
 //
 // All three must agree on every observable and on the final encoded
 // checkpoint bytes.
@@ -183,39 +182,13 @@ func TestCheckpointRestoreIntoPooledPlatform(t *testing.T) {
 	})
 }
 
-// TestCheckpointParallelTick covers the tiled tick kernel: snapshots taken
-// while the fabric steps in parallel epochs, restored into platforms
-// sweeping the same four tiles serially (W=1), in parallel (W=4), and
-// across the two — a W=1 checkpoint forked onto a W=4 platform must still
-// be bit-identical, since worker count is execution strategy, not state.
-func TestCheckpointParallelTick(t *testing.T) {
-	mk := func(workers int) Config {
-		return tiledConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 13, workers)
-	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := mk(workers)
-			probe := New(cfg)
-			sched := buildHostile(t, probe, hostileProfiles[2], 13)
-			forkCheck(t, cfg, sched, 60, 120, func(*Checkpoint) *Platform { return New(cfg) })
-		})
-	}
-	t.Run("cross-worker-fork", func(t *testing.T) {
-		serial := mk(1)
-		probe := New(serial)
-		sched := buildHostile(t, probe, hostileProfiles[2], 13)
-		forkCheck(t, serial, sched, 60, 120, func(*Checkpoint) *Platform { return New(mk(4)) })
-	})
-}
-
-// TestCheckpointMegaFabric exercises the 64×64 grid (auto-tiled, parallel
-// workers, XY routing as large fabrics run it) on a short horizon: 4096
-// nodes of arena, ring and router state through the snapshot/fork/
-// byte-compare protocol, with a kill wave landing before the snapshot.
+// TestCheckpointMegaFabric exercises the 64×64 grid (XY routing as large
+// fabrics run it) on a short horizon: 4096 nodes of arena, ring and router
+// state through the snapshot/fork/byte-compare protocol, with a kill wave
+// landing before the snapshot.
 func TestCheckpointMegaFabric(t *testing.T) {
 	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 21)
 	cfg.Width, cfg.Height = 64, 64
-	cfg.NoC.Workers = 4
 	cfg.NoC.Mode = noc.RouteXY
 	probe := New(cfg)
 	sched := buildHostile(t, probe, faults.Profile{Kind: faults.KindDeath, AtMs: 3, Nodes: 12}, 21)

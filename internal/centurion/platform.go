@@ -145,12 +145,6 @@ type Platform struct {
 	engWake    *wakeTable
 	engWaker   []aim.DecideWaker
 	engPollAll bool // an engine lacks NextDecide: poll all, never fast-forward
-	// netPar is true only while a parallel Net.Tick is in flight: fabric
-	// callbacks (PE stirs on delivery, engine stimuli from router monitor
-	// taps) then mark the activity sets through the atomic path, since they
-	// fire from the tick kernel's worker goroutines. Set and cleared by
-	// Step around Net.Tick — the tick barrier orders it against the workers.
-	netPar bool
 
 	nextPkt  uint64
 	nextInst uint64
@@ -244,7 +238,7 @@ func New(cfg Config) *Platform {
 
 		// Everything starts active; components park themselves after their
 		// first tick.
-		pe.OnStir = func() { p.markPE(id) }
+		pe.OnStir = func() { p.peSet.Add(id) }
 		p.peSet.Add(id)
 		p.engSet.Add(id)
 
@@ -360,27 +354,6 @@ func (p *Platform) stepThermal(now sim.Tick) {
 	}
 }
 
-// markPE marks a PE for ticking. Fabric delivery callbacks run on the tick
-// kernel's worker goroutines during a parallel Net.Tick, so marking goes
-// through the atomic path while one is in flight.
-func (p *Platform) markPE(id int) {
-	if p.netPar {
-		p.peSet.AddAtomic(id)
-		return
-	}
-	p.peSet.Add(id)
-}
-
-// markEng marks an engine for polling; same concurrency contract as markPE
-// (router monitor taps fire from the tile sweep workers).
-func (p *Platform) markEng(id int) {
-	if p.netPar {
-		p.engSet.AddAtomic(id)
-		return
-	}
-	p.engSet.Add(id)
-}
-
 // wirePE connects one node's PE-level hooks: the task-switch tap, the FFW
 // queue peek against the node's (possibly shared) router, and the generation
 // stimulus. Router-level taps are wired per physical router by wireRouters.
@@ -487,19 +460,19 @@ func (p *Platform) wireRouter(r *noc.Router, members []noc.NodeID) {
 		r.Monitors.RoutedTask = func(task taskgraph.TaskID, now sim.Tick) {
 			for _, m := range smart {
 				p.engines[m].OnRouted(task, now)
-				p.markEng(int(m))
+				p.engSet.Add(int(m))
 			}
 		}
 		r.Monitors.InternalDelivery = func(task taskgraph.TaskID, now sim.Tick) {
 			for _, m := range smart {
 				p.engines[m].OnInternal(task, now)
-				p.markEng(int(m))
+				p.engSet.Add(int(m))
 			}
 		}
 		r.Monitors.DeadlineLapse = func(task taskgraph.TaskID, now sim.Tick) {
 			for _, m := range smart {
 				p.engines[m].OnDeadlineLapse(task, now)
-				p.markEng(int(m))
+				p.engSet.Add(int(m))
 			}
 		}
 	}
@@ -807,9 +780,7 @@ func (p *Platform) Step() {
 			}
 			return false
 		})
-		p.netPar = p.Net.ParallelTick()
 		p.Net.Tick(now)
-		p.netPar = false
 		if p.engPollAll {
 			for id := range p.engines {
 				p.pollEngine(id, now)
@@ -826,9 +797,7 @@ func (p *Platform) stepDense(now sim.Tick) {
 	for _, pe := range p.pes {
 		pe.Tick(now)
 	}
-	p.netPar = p.Net.ParallelTick()
 	p.Net.TickDense(now)
-	p.netPar = false
 	for id := range p.engines {
 		p.pollEngine(id, now)
 	}

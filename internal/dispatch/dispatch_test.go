@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -408,5 +409,60 @@ func TestWorkerHTTPEndToEnd(t *testing.T) {
 	}
 	if _, err := c.Execute(context.Background(), "post-drain", nil, nil); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("post-drain Execute err = %v, want ErrNoWorkers", err)
+	}
+}
+
+// TestHardStopDuringExecuteNeverCompletes pins the crash path against the
+// race between a closing HardStop and a job that finishes at that instant:
+// Execute closes HardStop and returns at once, so the worker must abandon
+// the job — the coordinator sees the lease expire and never a completion.
+// GOMAXPROCS=1 makes the interleaving that exposes the race the likely
+// one: the job's goroutine runs on past the HardStop close before the
+// goroutine watching HardStop is scheduled.
+func TestHardStopDuringExecuteNeverCompletes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for trial := 0; trial < 5; trial++ {
+		c := NewCoordinator(fastConfig())
+		mux := http.NewServeMux()
+		c.Routes(mux)
+		ts := httptest.NewServer(mux)
+
+		hardStop := make(chan struct{})
+		workerDone := make(chan error, 1)
+		go func() {
+			workerDone <- RunWorker(context.Background(), WorkerOptions{
+				Coordinator: ts.URL,
+				Name:        "doomed",
+				HardStop:    hardStop,
+				Execute: func(ctx context.Context, key string, payload []byte, progress func([]byte)) ([]byte, string) {
+					time.Sleep(2 * time.Millisecond) // the job's work; its heartbeat goroutine parks
+					close(hardStop)
+					return []byte(`"done"`), ""
+				},
+			})
+		}()
+		for c.Stats().WorkersLive == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		_, errCh := startExecute(c, fmt.Sprintf("key-%d", trial), []byte("p"))
+
+		deadline := time.Now().Add(5 * time.Second)
+		for st := c.Stats(); st.Expired == 0 && st.Completed == 0; st = c.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("trial %d: job neither expired nor completed: %+v", trial, st)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if st := c.Stats(); st.Completed != 0 || st.Expired == 0 {
+			t.Errorf("trial %d: hard-stopped job completed instead of expiring: %+v", trial, st)
+		}
+		select {
+		case <-workerDone:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("trial %d: hard-stopped worker did not exit", trial)
+		}
+		c.Close()
+		<-errCh
+		ts.Close()
 	}
 }

@@ -402,7 +402,7 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 	cancel()
 	hbWG.Wait()
 
-	if hardCtx.Err() != nil {
+	if w.hardStopped(hardCtx) {
 		// Hard-stopped: abandon without completing (the crash path).
 		return
 	}
@@ -438,6 +438,19 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 		}
 	}
 	w.logf("slot %d: could not report completion of %s; lease will expire", slot, lease.JobID)
+}
+
+// hardStopped reports whether the worker was hard-stopped. HardStop is read
+// directly as well as through hardCtx: hardCtx is cancelled by a watcher
+// goroutine, so a job finishing just after HardStop closes could otherwise
+// still report its completion.
+func (w *worker) hardStopped(hardCtx context.Context) bool {
+	select {
+	case <-w.o.HardStop:
+		return true
+	default:
+		return hardCtx.Err() != nil
+	}
 }
 
 // post sends one RPC to the coordinator over the worker's Transport.

@@ -53,17 +53,6 @@ type Params struct {
 	RequeueLimit int
 	// Mode selects the routing strategy (default RouteAuto).
 	Mode RoutingMode
-	// Tiles partitions the router ID space into row-band tiles for the
-	// parallel tick kernel (DESIGN.md §14). 0 auto-sizes from the grid
-	// (one tile below 2048 nodes — the legacy serial kernel); 1 forces the
-	// legacy kernel. Tiling is SEMANTIC: it fixes the cross-boundary
-	// service order, so it must be derived from the spec, never from the
-	// host machine.
-	Tiles int
-	// Workers caps the goroutines sweeping tiles within one Tick. 0 uses
-	// GOMAXPROCS. Purely a runtime throttle — results are bit-identical
-	// for every worker count by construction.
-	Workers int
 }
 
 // DefaultConfig returns Params mirroring the Centurion router: small wormhole buffers and a
@@ -202,18 +191,6 @@ type Network struct {
 	// path, like the FPGA's router). See liveHop.
 	huge bool
 
-	// width caches Topo.Width() for the row→tile map; tiles/tileRowIdx/
-	// scratch/crew are the parallel tiled kernel (tile.go; nil tiles = the
-	// legacy single-tile kernel). stagedOps/drainedOps count staged
-	// boundary services and their merge drains for the property tests.
-	width      int
-	tiles      []netTile
-	tileRowIdx []int32
-	scratch    []tileScratch
-	crew       *tickCrew
-	stagedOps  uint64
-	drainedOps uint64
-
 	// DropHandler observes every dropped packet (may be nil). The handler is
 	// the packet's last reader: the fabric recycles it into the pool right
 	// after.
@@ -272,7 +249,6 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 		panic("noc: topology exceeds the 1,048,576-node limit of the fabric layout")
 	}
 	n := &Network{Topo: topo, cfg: cfg, nodes: nodes, active: sim.NewActiveSet(nodes)}
-	n.width = topo.Width()
 	n.huge = nodes > hugeNodes
 	n.routers = make([]*Router, nodes)
 	for id := 0; id < nodes; id++ {
@@ -336,13 +312,6 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 				n.xy[from] = n.xy[topo.RouterOf(NodeID(from))]
 			}
 		}
-	}
-	k := cfg.Tiles
-	if k == 0 {
-		k = autoTiles(topo.Width(), topo.Height())
-	}
-	if k > 1 {
-		n.buildTiles(k)
 	}
 	if cfg.Mode == RouteTables && !n.huge {
 		n.RecomputeRoutes()
@@ -427,10 +396,6 @@ func (n *Network) Stats() NetworkStats { return n.stats }
 // TickDense (a router with no queued packets is a no-op tick either way;
 // its round-robin pointer only advances while traffic is buffered).
 func (n *Network) Tick(now sim.Tick) {
-	if n.tiles != nil {
-		n.tickTiled(now, false)
-		return
-	}
 	n.active.Sweep(func(id int) bool {
 		st := &n.state[id]
 		n.tickRouter(id, st, now)
@@ -440,14 +405,7 @@ func (n *Network) Tick(now sim.Tick) {
 
 // TickDense advances every router by one cycle, active or not — the
 // pre-active-set reference scan kept for the stepping-equivalence tests.
-// On a tiled fabric the dense scan runs tile by tile with the same staged
-// merge, so dense and active stepping stay bit-identical at every tile
-// count.
 func (n *Network) TickDense(now sim.Tick) {
-	if n.tiles != nil {
-		n.tickTiled(now, true)
-		return
-	}
 	for _, r := range n.uniq {
 		n.tickRouter(int(r.ID), &n.state[r.ID], now)
 	}
@@ -718,7 +676,7 @@ func (n *Network) pushPacket(id int, port Port, p *Packet, readyAt sim.Tick) boo
 	st.queued++
 	st.occ |= 1 << port
 	st.quiet = 0
-	n.actAdd(id)
+	n.active.Add(id)
 	return true
 }
 
@@ -760,7 +718,7 @@ func (n *Network) stirRouter(id int) {
 	st := &n.state[id]
 	if st.queued > 0 && !st.faulty {
 		st.quiet = 0
-		n.actAdd(id)
+		n.active.Add(id)
 	}
 }
 
@@ -839,7 +797,7 @@ func (n *Network) forward(id int, st *routerState, inPort, out Port, s *ringSlot
 	nst.queued++
 	nst.occ |= 1 << inSide
 	nst.quiet = 0
-	n.actAdd(int(next))
+	n.active.Add(int(next))
 
 	if !keep {
 		n.popIn(id, st, inPort)
@@ -1121,9 +1079,8 @@ func (n *Network) recoverAt(id int, pkt *Packet, now sim.Tick) {
 	n.handleDrop(NodeID(id), pkt, DropRecoveryFailed)
 }
 
-// ActiveRouters returns the number of routers currently holding traffic
-// (summed over the per-tile sets on a tiled fabric).
-func (n *Network) ActiveRouters() int { return n.actLen() }
+// ActiveRouters returns the number of routers currently holding traffic.
+func (n *Network) ActiveRouters() int { return n.active.Len() }
 
 // Inject enqueues a packet at the source node's Local input channel.
 // It returns false (without consuming the packet) under back-pressure.
@@ -1195,7 +1152,7 @@ func (n *Network) Fail(id NodeID, now sim.Tick) {
 	}
 	st.refused = 0
 	r.Stats.Dropped += uint64(len(lost))
-	n.actRemove(rid)
+	n.active.Remove(rid)
 	n.faultyCnt++
 	for i, p := range lost {
 		n.handleDrop(r.ID, p, DropRouterFailed)
@@ -1255,9 +1212,7 @@ func (n *Network) Reset() {
 		st.quiet = 0
 		r.reset(n.cfg)
 	}
-	n.actClear()
-	n.stagedOps = 0
-	n.drainedOps = 0
+	n.active.Clear()
 	n.haveFaults = false
 	n.faultyCnt = 0
 	for i := range n.byz {

@@ -14,8 +14,8 @@ import (
 // accounting), the shared ring-slot slice, the per-router hot records and
 // next-hop row contents, the active sets, byzantine arming (including each
 // router's private RNG stream), fault flags and fabric counters. Everything
-// immutable — topology, xy rows, neighbour wiring, tile layout, the healthy
-// route tables — stays with the platform and is never copied.
+// immutable — topology, xy rows, neighbour wiring, the healthy route tables
+// — stays with the platform and is never copied.
 //
 // The fault-aware route tables sit in between: their *contents* are
 // immutable once computed (faults swap the pointer, never edit in place), so
@@ -105,7 +105,6 @@ type NetworkState struct {
 	hop        []int8        // flat hop-row contents, uniq-major (empty on huge)
 	cold       []routerCold
 	active     sim.ActiveSetState
-	tileActive []sim.ActiveSetState
 	hasByz     bool
 	byz        []byzState
 	byzCnt     int
@@ -113,8 +112,6 @@ type NetworkState struct {
 	haveFaults bool
 	faultyCnt  int
 	stats      NetworkStats
-	stagedOps  uint64
-	drainedOps uint64
 
 	// tables is the in-memory shared reference (nil after DecodeBinary and
 	// on fabrics that are healthy under XY routing).
@@ -122,8 +119,8 @@ type NetworkState struct {
 
 	// Shape guard: a state only restores into the fabric geometry it came
 	// from.
-	nodes, spp, uniqN, tileN int
-	huge                     bool
+	nodes, spp, uniqN int
+	huge              bool
 }
 
 // SaveState deep-copies the fabric's mutable state into st, reusing st's
@@ -152,10 +149,6 @@ func (n *Network) SaveState(st *NetworkState) {
 	}
 
 	n.active.SaveState(&st.active)
-	st.tileActive = sliceFor(st.tileActive, len(n.tiles))
-	for i := range n.tiles {
-		n.tiles[i].set.SaveState(&st.tileActive[i])
-	}
 
 	st.hasByz = n.byz != nil
 	st.byz = append(st.byz[:0], n.byz...)
@@ -163,22 +156,20 @@ func (n *Network) SaveState(st *NetworkState) {
 
 	st.haveFaults, st.faultyCnt = n.haveFaults, n.faultyCnt
 	st.stats = n.stats
-	st.stagedOps, st.drainedOps = n.stagedOps, n.drainedOps
 	st.tables = n.tables
 
-	st.nodes, st.spp, st.uniqN, st.tileN = n.nodes, n.spp, len(n.uniq), len(n.tiles)
+	st.nodes, st.spp, st.uniqN = n.nodes, n.spp, len(n.uniq)
 	st.huge = n.huge
 }
 
 // LoadState restores a previously saved state into the fabric. The target
-// must have the same geometry (node count, ring capacity, router set, tile
-// layout) as the fabric the state was saved from; construction-derived
-// wiring is reused, so the restore is a handful of bulk copies.
+// must have the same geometry (node count, ring capacity, router set) as
+// the fabric the state was saved from; construction-derived wiring is
+// reused, so the restore is a handful of bulk copies.
 func (n *Network) LoadState(st *NetworkState) {
-	if st.nodes != n.nodes || st.spp != n.spp || st.uniqN != len(n.uniq) ||
-		st.tileN != len(n.tiles) || st.huge != n.huge {
-		panic(fmt.Sprintf("noc: checkpoint shape mismatch: state is %d nodes/%d spp/%d routers/%d tiles, fabric is %d/%d/%d/%d",
-			st.nodes, st.spp, st.uniqN, st.tileN, n.nodes, n.spp, len(n.uniq), len(n.tiles)))
+	if st.nodes != n.nodes || st.spp != n.spp || st.uniqN != len(n.uniq) || st.huge != n.huge {
+		panic(fmt.Sprintf("noc: checkpoint shape mismatch: state is %d nodes/%d spp/%d routers, fabric is %d/%d/%d",
+			st.nodes, st.spp, st.uniqN, n.nodes, n.spp, len(n.uniq)))
 	}
 	n.pool.loadState(&st.pool)
 	copy(n.slots, st.slots)
@@ -196,9 +187,6 @@ func (n *Network) LoadState(st *NetworkState) {
 	}
 
 	n.active.LoadState(&st.active)
-	for i := range n.tiles {
-		n.tiles[i].set.LoadState(&st.tileActive[i])
-	}
 
 	if st.hasByz {
 		if n.byz == nil {
@@ -215,7 +203,6 @@ func (n *Network) LoadState(st *NetworkState) {
 
 	n.haveFaults, n.faultyCnt = st.haveFaults, st.faultyCnt
 	n.stats = st.stats
-	n.stagedOps, n.drainedOps = st.stagedOps, st.drainedOps
 
 	// Route tables: share the in-memory reference when the state carries
 	// one. A file-decoded state does not; recompute from the restored fault
@@ -329,7 +316,7 @@ func appendActiveSet(b []byte, st *sim.ActiveSetState) []byte {
 	for _, w := range st.Words {
 		b = wire.AppendU64(b, w)
 	}
-	b = wire.AppendI64(b, st.N)
+	b = wire.AppendI64(b, int64(st.N))
 	return b
 }
 
@@ -339,7 +326,7 @@ func readActiveSet(r *wire.Reader, st *sim.ActiveSetState) {
 	for i := range st.Words {
 		st.Words[i] = r.U64()
 	}
-	st.N = r.I64()
+	st.N = int(r.I64())
 }
 
 func appendRouterStats(b []byte, s *RouterStats) []byte {
@@ -369,7 +356,6 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	b = wire.AppendU32(b, uint32(st.nodes))
 	b = wire.AppendU32(b, uint32(st.spp))
 	b = wire.AppendU32(b, uint32(st.uniqN))
-	b = wire.AppendU32(b, uint32(st.tileN))
 	b = wire.AppendBool(b, st.huge)
 
 	b = wire.AppendU32(b, uint32(len(st.pool.packets)))
@@ -419,10 +405,6 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	}
 
 	b = appendActiveSet(b, &st.active)
-	b = wire.AppendU32(b, uint32(len(st.tileActive)))
-	for i := range st.tileActive {
-		b = appendActiveSet(b, &st.tileActive[i])
-	}
 
 	b = wire.AppendBool(b, st.hasByz)
 	b = wire.AppendU32(b, uint32(len(st.byz)))
@@ -446,8 +428,6 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	b = wire.AppendU64(b, st.stats.ByzMisrouted)
 	b = wire.AppendU64(b, st.stats.ByzDropped)
 	b = wire.AppendU64(b, st.stats.ByzDuplicated)
-	b = wire.AppendU64(b, st.stagedOps)
-	b = wire.AppendU64(b, st.drainedOps)
 	return b
 }
 
@@ -458,7 +438,6 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.nodes = int(r.U32())
 	st.spp = int(r.U32())
 	st.uniqN = int(r.U32())
-	st.tileN = int(r.U32())
 	st.huge = r.Bool()
 
 	n := r.Count(123) // serialized packet size
@@ -515,11 +494,6 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	}
 
 	readActiveSet(r, &st.active)
-	n = r.Count(12)
-	st.tileActive = sliceFor(st.tileActive, n)
-	for i := range st.tileActive {
-		readActiveSet(r, &st.tileActive[i])
-	}
 
 	st.hasByz = r.Bool()
 	n = r.Count(13)
@@ -544,8 +518,6 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.stats.ByzMisrouted = r.U64()
 	st.stats.ByzDropped = r.U64()
 	st.stats.ByzDuplicated = r.U64()
-	st.stagedOps = r.U64()
-	st.drainedOps = r.U64()
 
 	st.tables = nil
 	return r.Err()

@@ -670,9 +670,12 @@ func (e *Engine) run(j *Job) {
 		e.completed++
 	}
 	e.retire(j.ID, j.CacheHit)
+	// Finish the stream before waking waiters: a waiter that subscribes as
+	// soon as Wait returns must get the finished job's replay, not the
+	// live sample log.
+	j.stream.finish()
 	close(j.done)
 	e.mu.Unlock()
-	j.stream.finish()
 }
 
 // aggregate folds per-run summaries into mean ± 95% CI statistics.

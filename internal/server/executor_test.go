@@ -8,14 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"centurion/internal/aim"
+	"centurion/internal/centurion"
 	"centurion/internal/dispatch"
 	"centurion/internal/experiments"
+	"centurion/internal/taskgraph"
 )
 
 // TestDispatchEnvelopeAndLegacyPayload pins the leased-job wire format: the
 // coordinator ships {"spec": ..., "warm_prefix": ...} envelopes, workers
-// accept both the envelope and the pre-envelope bare-spec payload, and both
-// forms execute to the identical encoded result.
+// execute them, and the pre-envelope bare-spec payload is rejected.
 func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	ctx := context.Background()
 	spec, err := ParseSpec([]byte(fastSpecJSON))
@@ -27,9 +29,8 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), specJSON, nil)
-	if errMsg != "" {
-		t.Fatalf("legacy bare-spec payload failed: %s", errMsg)
+	if res, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), specJSON, nil); errMsg == "" || res != nil {
+		t.Fatalf("legacy bare-spec payload was accepted (err %q)", errMsg)
 	}
 
 	key, ok := experiments.WarmPrefixKey(spec.toExperiment(0))
@@ -45,9 +46,6 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	if errMsg != "" {
 		t.Fatalf("envelope payload failed: %s", errMsg)
 	}
-	if !bytes.Equal(legacy, enveloped) {
-		t.Fatal("envelope and bare-spec payloads produced different results")
-	}
 	if got := WarmPrefixSkew(); got != skewBefore {
 		t.Fatalf("matching warm-prefix key counted as skew (%d -> %d)", skewBefore, got)
 	}
@@ -62,7 +60,7 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	if errMsg != "" {
 		t.Fatalf("skewed envelope failed: %s", errMsg)
 	}
-	if !bytes.Equal(legacy, skewed) {
+	if !bytes.Equal(enveloped, skewed) {
 		t.Fatal("skewed envelope changed the result")
 	}
 	if got := WarmPrefixSkew(); got != skewBefore+1 {
@@ -122,5 +120,53 @@ func TestDispatchExecutorShipsEnvelope(t *testing.T) {
 	}
 	if env.WarmPrefix != want {
 		t.Fatalf("envelope warm-prefix = %q, want %q", env.WarmPrefix, want)
+	}
+}
+
+// TestResumableDiscardsOldCheckpointVersion: a resumed job whose platform
+// checkpoint has an older CENCKPT1 version cannot restore it, so the
+// interrupted run restarts from tick zero — and the result is identical to
+// a run that was never interrupted.
+func TestResumableDiscardsOldCheckpointVersion(t *testing.T) {
+	ctx := context.Background()
+	spec, err := ParseSpec([]byte(fastSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(dispatchEnvelope{Spec: specJSON})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), payload, nil)
+	if errMsg != "" {
+		t.Fatalf("fresh run failed: %s", errMsg)
+	}
+
+	old := centurion.EncodeCheckpoint(centurion.New(centurion.DefaultConfig(aim.NewNone, taskgraph.HeuristicMapper{}, 1)).Snapshot())
+	old[8], old[9] = 1, 0 // version 1, little-endian
+	if _, err := centurion.DecodeCheckpoint(old); err == nil {
+		t.Fatal("version-1 checkpoint decoded")
+	}
+	jc, err := json.Marshal(jobCheckpoint{Win: 5, Platform: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, errMsg := DispatchExecuteResumable(10)(ctx, dispatch.ResumableJob{
+		Key:            spec.CanonicalKey(),
+		Payload:        payload,
+		Attempt:        2,
+		Checkpoint:     jc,
+		CheckpointTick: 5,
+		Commit:         func(context.Context, int64, []byte) error { return nil },
+	})
+	if errMsg != "" {
+		t.Fatalf("resume from a version-1 checkpoint failed: %s", errMsg)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resume from a version-1 checkpoint changed the result")
 	}
 }

@@ -28,7 +28,7 @@ import (
 // Validation bounds: generous enough for any experiment in the paper (and
 // far beyond), tight enough that one request cannot wedge a worker forever
 // — MaxTotalMs caps a request's simulated time across its whole batch, and
-// because a grid side may now reach 1024 (the tiled kernel's mega-fabric
+// because a grid side may now reach 1024 (the huge-mode mega-fabric
 // ceiling), MaxNodeMs additionally caps simulated time × fabric size: the
 // budget equals MaxTotalMs on the default 128-node grid, so a 65k-node
 // fabric gets proportionally fewer node-milliseconds, not a free 512×
@@ -114,7 +114,7 @@ type RunSpec struct {
 	// WindowMs is the metric sampling window (default 1).
 	WindowMs int `json:"window_ms"`
 	// Width, Height are the node-grid dimensions (default 16×8,
-	// Centurion-V6; up to 1024×1024 through the tiled mega-fabric kernel,
+	// Centurion-V6; up to 1024×1024 through the huge-mode mega fabric,
 	// subject to the node-ms budget). Each shape canonicalizes to its own
 	// spec — and therefore its own cache key.
 	Width  int `json:"width"`

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // ActiveSet tracks which members of a fixed-size, densely indexed population
 // (routers, processing elements, intelligence engines) need attention on the
@@ -24,9 +21,7 @@ import (
 // scan would have executed anyway.
 type ActiveSet struct {
 	words []uint64
-	// n is int64 (not int) so AddAtomic can maintain it with atomic.AddInt64
-	// alongside the plain single-threaded mutators.
-	n int64
+	n     int
 }
 
 // NewActiveSet returns a set over indices [0, size).
@@ -40,23 +35,6 @@ func (s *ActiveSet) Add(id int) {
 	if s.words[w]&b == 0 {
 		s.words[w] |= b
 		s.n++
-	}
-}
-
-// AddAtomic is Add for concurrent marking: safe against other AddAtomic
-// calls on any member (the parallel tick kernel's workers stir PEs and
-// engines from different goroutines). It must not race with the plain
-// mutators — the platform only uses it while the tick barrier guarantees no
-// Sweep/Remove/Clear runs. The fast path is a single atomic load, so marking
-// an already-active member (the common case for repeated stirs within one
-// tick) costs no contended write.
-func (s *ActiveSet) AddAtomic(id int) {
-	w, b := id>>6, uint64(1)<<uint(id&63)
-	if atomic.LoadUint64(&s.words[w])&b != 0 {
-		return
-	}
-	if atomic.OrUint64(&s.words[w], b)&b == 0 {
-		atomic.AddInt64(&s.n, 1)
 	}
 }
 
@@ -75,7 +53,7 @@ func (s *ActiveSet) Contains(id int) bool {
 }
 
 // Len returns the number of active members.
-func (s *ActiveSet) Len() int { return int(s.n) }
+func (s *ActiveSet) Len() int { return s.n }
 
 // Clear deactivates every member.
 func (s *ActiveSet) Clear() {

@@ -21,7 +21,7 @@ func (c *Clock) SetNow(t Tick) { c.now = t }
 // storing in a checkpoint and restoring into any same-sized set.
 type ActiveSetState struct {
 	Words []uint64
-	N     int64
+	N     int
 }
 
 // SaveState copies the set's membership into st, reusing st's backing
