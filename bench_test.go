@@ -217,7 +217,10 @@ func BenchmarkAblationEmbeddedAIMCost(b *testing.B) {
 // decisions) at steady state. The torus and cmesh variants run the FFW model
 // on the non-mesh fabrics; the 64x64 variant runs FFW on a 4096-node mesh
 // after a longer warm-up. The allocs/op guard in CI holds every
-// sub-benchmark to the zero-allocation contract.
+// sub-benchmark to the zero-allocation contract, and each reports the live
+// heap after a forced GC as heap_MB, so BENCH_platform.json can hold the
+// 64x64 fabric to a memory ceiling (an O(nodes²) routing table would be
+// >100 MB there).
 func BenchmarkPlatformStep(b *testing.B) {
 	for _, tc := range []struct {
 		name          string
@@ -247,6 +250,12 @@ func BenchmarkPlatformStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.Step()
 			}
+			b.StopTimer()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(p)
+			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap_MB")
 		})
 	}
 }

@@ -13,8 +13,11 @@
 // present in both inputs are gated: ns/op must stay within (1+tol)× the
 // snapshot, allocs/op within the snapshot plus a small warm-up
 // slack, and B/op within the snapshot plus a few bytes of amortised growth.
-// Improvements are reported but never fail the gate (refresh the snapshot to
-// bank them).
+// A snapshot entry with a heap_MB figure also holds the benchmark's
+// reported heap_MB metric to (1+tol)× it. Improvements are reported but
+// never fail the gate (refresh the snapshot to bank them). The core counts
+// the snapshot was recorded with are printed next to this machine's, since
+// every timing ceiling is relative to that hardware.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"maps"
 	"os"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -41,11 +45,21 @@ type baselineEntry struct {
 	// ceiling, the gate fails when the measurement falls BELOW the snapshot
 	// by more than the tolerance.
 	SpecsPerS *float64 `json:"specs_per_s"`
+	// HeapMB is a memory ceiling (MB of heap the benchmark reports via
+	// b.ReportMetric as heap_MB).
+	HeapMB *float64 `json:"heap_MB"`
+}
+
+// environment is where the snapshot's numbers were recorded.
+type environment struct {
+	Nproc      int `json:"nproc"`
+	GOMAXPROCS int `json:"gomaxprocs"`
 }
 
 // baselineFile is the subset of BENCH_platform.json the gate reads.
 type baselineFile struct {
-	Benchmarks map[string]baselineEntry `json:"benchmarks"`
+	Environment environment              `json:"environment"`
+	Benchmarks  map[string]baselineEntry `json:"benchmarks"`
 }
 
 // measurement is one benchmark's result: a single result line, or the
@@ -55,6 +69,7 @@ type measurement struct {
 	bPerOp      float64
 	allocsPerOp float64
 	specsPerS   float64
+	heapMB      float64
 	hasMem      bool
 	// samples is how many result lines were folded in; nsMin/nsMax and
 	// specsMin/specsMax are their spread.
@@ -98,6 +113,8 @@ func parseBench(lines []string) map[string]measurement {
 				meas.hasMem = true
 			case "specs/s":
 				meas.specsPerS = v
+			case "heap_MB":
+				meas.heapMB = v
 			}
 		}
 		if seen {
@@ -129,6 +146,7 @@ func summarize(samples []measurement) measurement {
 		bPerOp:      median(field(func(m measurement) float64 { return m.bPerOp })),
 		allocsPerOp: median(field(func(m measurement) float64 { return m.allocsPerOp })),
 		specsPerS:   median(specs),
+		heapMB:      median(field(func(m measurement) float64 { return m.heapMB })),
 		samples:     len(samples),
 		nsMin:       ns[0],
 		nsMax:       ns[len(ns)-1],
@@ -203,6 +221,18 @@ func gate(meas map[string]measurement, base map[string]baselineEntry, tol float6
 					name, got.specsPerS, tol*100, *b.SpecsPerS))
 			}
 		}
+		if b.HeapMB != nil {
+			switch limit := *b.HeapMB * (1 + tol); {
+			case got.heapMB == 0:
+				failures = append(failures, fmt.Sprintf(
+					"%s: baseline has a %.1f heap_MB ceiling but the benchmark reported no heap_MB",
+					name, *b.HeapMB))
+			case got.heapMB > limit:
+				failures = append(failures, fmt.Sprintf(
+					"%s: %.1f heap_MB exceeds baseline %.1f heap_MB by more than %.0f%% (limit %.1f)",
+					name, got.heapMB, *b.HeapMB, tol*100, limit))
+			}
+		}
 		if got.hasMem && b.AllocsPerOp != nil {
 			// Allow a couple of allocations of warm-up slack, exactly like
 			// the historical awk guard.
@@ -227,6 +257,18 @@ func gate(meas map[string]measurement, base map[string]baselineEntry, tol float6
 		}
 	}
 	return failures, notes
+}
+
+// envLine sets the snapshot's recording environment beside this machine's:
+// a ceiling recorded on more (or fewer) cores than the gate runs on is
+// not a like-for-like comparison.
+func envLine(base environment, nproc, gomaxprocs int) string {
+	recorded := "unrecorded"
+	if base.Nproc > 0 {
+		recorded = fmt.Sprintf("nproc=%d GOMAXPROCS=%d", base.Nproc, base.GOMAXPROCS)
+	}
+	return fmt.Sprintf("benchgate: baseline recorded with %s; this machine nproc=%d GOMAXPROCS=%d",
+		recorded, nproc, gomaxprocs)
 }
 
 func run() error {
@@ -271,6 +313,7 @@ func run() error {
 		}
 	}
 
+	fmt.Println(envLine(base.Environment, runtime.NumCPU(), runtime.GOMAXPROCS(0)))
 	meas := parseBench(lines)
 	for _, name := range slices.Sorted(maps.Keys(meas)) {
 		if m := meas[name]; m.samples > 1 {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func f(v float64) *float64 { return &v }
 
@@ -68,5 +71,46 @@ func TestGateMedianOfSamples(t *testing.T) {
 	meas = parseBench([]string{sample("1400"), sample("1500"), sample("1000")})
 	if failures, _ := gate(meas, base, 0.25, nil); len(failures) != 1 {
 		t.Fatalf("failures = %v, want the median regression on BenchmarkA", failures)
+	}
+}
+
+// TestGateHeapCeiling covers the optional heap_MB ceiling: parsed from the
+// custom metric, gated on the median, and a benchmark whose baseline has a
+// ceiling must keep reporting the metric.
+func TestGateHeapCeiling(t *testing.T) {
+	base := map[string]baselineEntry{
+		"BenchmarkA": {NsPerOp: f(1000), HeapMB: f(16)},
+		"BenchmarkB": {NsPerOp: f(1000)},
+	}
+	sample := func(name, heap string) string {
+		return name + "-2   \t    1000\t      1000 ns/op\t  " + heap + " heap_MB"
+	}
+
+	meas := parseBench([]string{sample("BenchmarkA", "15.0"), sample("BenchmarkA", "30.0"), sample("BenchmarkA", "19.5"), sample("BenchmarkB", "500")})
+	if a := meas["BenchmarkA"]; a.heapMB != 19.5 {
+		t.Fatalf("BenchmarkA heap_MB median = %v, want 19.5", a.heapMB)
+	}
+	if failures, _ := gate(meas, base, 0.25, nil); len(failures) != 0 {
+		t.Fatalf("heap within 25%% of its ceiling (and none on B) failed the gate: %v", failures)
+	}
+
+	meas = parseBench([]string{sample("BenchmarkA", "160.6")})
+	if failures, _ := gate(meas, base, 0.25, nil); len(failures) != 1 || !strings.Contains(failures[0], "heap_MB") {
+		t.Fatalf("failures = %v, want the heap_MB regression on BenchmarkA", failures)
+	}
+
+	meas = parseBench([]string{"BenchmarkA-2   \t    1000\t      1000 ns/op"})
+	if failures, _ := gate(meas, base, 0.25, nil); len(failures) != 1 || !strings.Contains(failures[0], "no heap_MB") {
+		t.Fatalf("failures = %v, want the missing heap_MB report on BenchmarkA", failures)
+	}
+}
+
+func TestEnvLine(t *testing.T) {
+	got := envLine(environment{Nproc: 2, GOMAXPROCS: 2}, 8, 4)
+	if want := "benchgate: baseline recorded with nproc=2 GOMAXPROCS=2; this machine nproc=8 GOMAXPROCS=4"; got != want {
+		t.Fatalf("envLine = %q, want %q", got, want)
+	}
+	if got := envLine(environment{}, 1, 1); !strings.Contains(got, "unrecorded") {
+		t.Fatalf("envLine without a recorded environment = %q", got)
 	}
 }

@@ -26,9 +26,13 @@ import (
 // encoding is canonical — two checkpoints of identical state encode to
 // identical bytes — which is what lets the equivalence tests compare runs by
 // comparing encoded checkpoints.
+//
+// Version 2 dropped the tiled kernel's per-tile state; version 3 dropped
+// the network section's hop-row contents (rows are now views into the
+// route tables, rebound on restore).
 const (
 	ckptMagic     = "CENCKPT1"
-	ckptVersion   = 2
+	ckptVersion   = 3
 	ckptHeaderLen = 8 + 2 + 4 + 4
 )
 

@@ -1,8 +1,8 @@
 package noc
 
-// Huge-fabric mode: beyond hugeNodes the O(nodes²) routing structures are
-// skipped and every hop is computed on the fly, which lifts the scale
-// ceiling to 1024×1024.
+// Huge-fabric mode: beyond hugeNodes the O(nodes²) fault-aware route tables
+// are never built and every hop is computed on the fly, even under faults,
+// which lifts the scale ceiling to 1024×1024.
 
 import (
 	"os"
@@ -22,7 +22,7 @@ func meshNet(t *testing.T, w, h int) *Network {
 }
 
 // TestHugeFabricLiveRouting covers the mega-fabric mode: beyond hugeNodes
-// the O(nodes²) routing structures are skipped and every hop is computed on
+// the O(nodes²) route tables are never built and every hop is computed on
 // the fly, so a 128×128 fabric must deliver along exact dimension-order
 // paths, treat faults without rerouting (blocked heads take the
 // deadlock-recovery path), and answer Reachable optimistically.
@@ -31,7 +31,7 @@ func TestHugeFabricLiveRouting(t *testing.T) {
 	if !n.huge {
 		t.Fatal("16384-node fabric did not enter huge mode")
 	}
-	if n.state[0].hop != nil || n.xy != nil {
+	if n.state[0].hop != nil {
 		t.Fatal("huge fabric built per-router hop rows")
 	}
 

@@ -96,11 +96,11 @@ type routerState struct {
 	// round-robin pointer, so tickRouter does exactly that and returns. Any
 	// push resets it — a new packet may be ready sooner.
 	quiet sim.Tick
-	// hop is this router's row of the active next-hop table (XY while the
-	// fabric is healthy, fault-aware tables otherwise), narrowed to one
-	// byte per destination so a 128-node row is two cache lines instead of
-	// sixteen. The network rewrites it whenever the routing state changes,
-	// so forwarding is one indexed load. -1 encodes PortInvalid.
+	// hop is this router's row of the fault-aware route tables, one byte
+	// per destination (-1 encodes PortInvalid), or nil while the fabric
+	// routes dimension-order — then the hop is computed from coordinates
+	// (Network.hop). It is a read-only view into routeTables.next, rebound
+	// whenever the routing state changes (Network.bindRows).
 	hop []int8
 	// queued is the packet count across all input rings, maintained on
 	// every push/pop so the idle check and the active-router set are O(1).
@@ -125,6 +125,10 @@ type routerState struct {
 	// in what was the record's padding byte, so fault-health tracking costs
 	// the hot path no cache footprint.
 	linkDown uint8
+	// x, y are the router's grid coordinate, the from side of the
+	// dimension-order hop. They fill what was padding, so the record stays
+	// 208 bytes.
+	x, y uint16
 	// rings are the per-port input FIFOs over the network's shared slot
 	// slice; linkBusy is the tick until which each output link is
 	// serialising a transfer; blockedAt is when each port's head packet
@@ -176,19 +180,24 @@ type Network struct {
 	tables *routeTables
 	// healthy caches the fault-free route tables so Reset can restore them
 	// without recomputation (they are immutable once built).
-	healthy *routeTables
-	// xy[from][dst] is the topology's dimension-order next hop, precomputed
-	// once so the healthy-fabric forwarding path is a single indexed load
-	// instead of two coordinate decompositions per packet per tick.
-	xy         [][]Port
+	healthy    *routeTables
 	haveFaults bool
 	faultyCnt  int
 
-	// huge marks a fabric beyond hugeNodes: the O(nodes²) routing
-	// structures (per-router hop rows, xy rows, BFS tables) are not built —
-	// forwarding computes the dimension-order hop on the fly and routes
-	// stay XY even under faults (blocked heads take the deadlock-recovery
-	// path, like the FPGA's router). See liveHop.
+	// The topology's dimension-order hop, split by axis (see hop):
+	// colHop[fx*gridW+dx] is the X decision between grid columns and
+	// rowHop[fy*gridH+dy] the Y decision between grid rows, both narrowed
+	// like the hop rows; at[id] is node id's grid coordinate. Together they
+	// are O(width² + height² + nodes) bytes, so no fabric carries an
+	// O(nodes²) XY table.
+	colHop, rowHop []int8
+	gridW, gridH   int
+	at             []gridXY
+
+	// huge marks a fabric beyond hugeNodes: the O(nodes²) fault-aware route
+	// tables are never built, so routes stay dimension-order even under
+	// faults (blocked heads take the deadlock-recovery path, like the
+	// FPGA's router).
 	huge bool
 
 	// DropHandler observes every dropped packet (may be nil). The handler is
@@ -264,10 +273,12 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 	n.spp = slotsPerPort(cfg.BufferFlits)
 	n.sppMask = uint32(n.spp - 1)
 	n.capFlits = uint32(cfg.BufferFlits)
+	n.buildXY()
 	n.state = make([]routerState, nodes)
 	n.slots = make([]ringSlot, nodes*int(NumPorts)*n.spp)
 	for id := range n.state {
 		st := &n.state[id]
+		st.x, st.y = n.at[id].x, n.at[id].y
 		for p := range st.nbr {
 			st.nbr[p] = -1
 		}
@@ -275,41 +286,11 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 			st.rings[p].head = uint32((id*int(NumPorts) + p) * n.spp)
 		}
 	}
-	// Wire the fabric links between routers; below the huge threshold, carve
-	// each physical router's byte-narrow next-hop row out of one contiguous
-	// backing (the rows are O(routers × nodes) — a mega fabric skips them
-	// and computes hops on the fly, see liveHop).
-	var hopBacking []int8
-	if !n.huge {
-		hopBacking = make([]int8, len(n.uniq)*nodes)
-	}
-	for i, r := range n.uniq {
-		if !n.huge {
-			n.state[r.ID].hop = hopBacking[i*nodes : (i+1)*nodes : (i+1)*nodes]
-		}
+	// Wire the fabric links between routers.
+	for _, r := range n.uniq {
 		for p := North; p <= West; p++ {
 			if nb, ok := topo.Neighbor(r.ID, p); ok {
 				n.state[r.ID].nbr[p] = int32(topo.RouterOf(nb))
-			}
-		}
-	}
-	if !n.huge {
-		// Like the route tables, xy rows depend only on the serving router,
-		// so cluster members alias their hub's row.
-		n.xy = make([][]Port, nodes)
-		for from := range n.xy {
-			if topo.RouterOf(NodeID(from)) != NodeID(from) {
-				continue
-			}
-			row := make([]Port, nodes)
-			for dst := range row {
-				row[dst] = xyNextHop(topo, NodeID(from), NodeID(dst))
-			}
-			n.xy[from] = row
-		}
-		for from := range n.xy {
-			if n.xy[from] == nil {
-				n.xy[from] = n.xy[topo.RouterOf(NodeID(from))]
 			}
 		}
 	}
@@ -321,23 +302,71 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 	return n
 }
 
-// hugeNodes is the node count beyond which the quadratic routing structures
-// (hop rows, xy rows, BFS tables) are skipped: a 65536-node fabric's hop
-// rows alone would be 4 GiB. 64×64 (4096 nodes) keeps the precomputed fast
-// path and full fault-aware routing.
+// hugeNodes is the node count beyond which the fault-aware route tables
+// are never built: a 65536-node fabric's tables alone would be 4 GiB.
+// 64×64 (4096 nodes) keeps full fault-aware routing.
 const hugeNodes = 8192
 
-// liveHop is the mega-fabric forwarding path: the topology's dimension-order
-// next hop computed on the fly (coordinates are memoized, so this is integer
-// compares, not divisions). Faults do not reroute a huge fabric — heads
-// steering into a dead router block and take deadlock recovery, mirroring
-// the paper's FPGA router, which never had global route recomputation
-// either.
-func (n *Network) liveHop(from NodeID, dst int32) Port {
+// maxGridSide bounds each grid dimension: coordinates narrow to 16 bits in
+// the router record, and the per-axis hop tables are side² bytes.
+const maxGridSide = 8192
+
+// gridXY is a node's grid coordinate narrowed to 16 bits per axis.
+type gridXY struct{ x, y uint16 }
+
+// buildXY precomputes the per-axis hop tables and node coordinates hop
+// reads. Dimension-order routing is separable on every topology here: the
+// X decision depends only on the source and destination columns, and once X
+// is settled (Local) the Y decision depends only on the rows — so one probe
+// of BaseNextHop per column pair along row 0, and per row pair along
+// column 0, reproduces the hop for every (router, destination) pair.
+func (n *Network) buildXY() {
+	topo := n.Topo
+	w, h := topo.Width(), topo.Height()
+	if w > maxGridSide || h > maxGridSide {
+		panic(fmt.Sprintf("noc: %dx%d grid exceeds the %d-node side limit of the fabric layout", w, h, maxGridSide))
+	}
+	n.gridW, n.gridH = w, h
+	n.colHop = make([]int8, w*w)
+	for fx := 0; fx < w; fx++ {
+		from := topo.ID(Coord{X: fx})
+		for dx := 0; dx < w; dx++ {
+			n.colHop[fx*w+dx] = int8(topo.BaseNextHop(from, topo.ID(Coord{X: dx})))
+		}
+	}
+	n.rowHop = make([]int8, h*h)
+	for fy := 0; fy < h; fy++ {
+		from := topo.ID(Coord{Y: fy})
+		for dy := 0; dy < h; dy++ {
+			n.rowHop[fy*h+dy] = int8(topo.BaseNextHop(from, topo.ID(Coord{Y: dy})))
+		}
+	}
+	n.at = make([]gridXY, n.nodes)
+	for id := range n.at {
+		c := topo.Coord(NodeID(id))
+		n.at[id] = gridXY{x: uint16(c.X), y: uint16(c.Y)}
+	}
+}
+
+// hop is the output port at the router whose record is st toward dst, the
+// one forwarding decision servicePort, NextHop and huge mode share: an
+// indexed load from the bound fault-aware row, or — while the fabric routes
+// dimension-order and no row is bound — the topology's hop computed from
+// coordinates, as the FPGA router computes it in logic (the X decision,
+// then the Y decision once X is settled). Out-of-range destinations are
+// PortInvalid.
+func (n *Network) hop(st *routerState, dst int32) Port {
 	if uint32(dst) >= uint32(n.nodes) {
 		return PortInvalid
 	}
-	return xyNextHop(n.Topo, from, NodeID(dst))
+	if st.hop != nil {
+		return Port(st.hop[dst])
+	}
+	d := n.at[dst]
+	if p := n.colHop[int(st.x)*n.gridW+int(d.x)]; p != int8(Local) {
+		return Port(p)
+	}
+	return Port(n.rowHop[int(st.y)*n.gridH+int(d.y)])
 }
 
 // Pool returns the fabric's packet arena. Every packet that enters the
@@ -345,32 +374,26 @@ func (n *Network) liveHop(from NodeID, dst int32) Port {
 // it so the whole system shares one recycler.
 func (n *Network) Pool() *PacketPool { return &n.pool }
 
-// applyRoutingRows rebinds every router's next-hop row to the table the
-// current routing state selects (dimension-order on a healthy fabric,
-// shortest-path tables otherwise). Called whenever mode-relevant state
-// changes.
-func (n *Network) applyRoutingRows() {
-	if n.huge {
-		// No precomputed rows to rebind; forwarding goes through liveHop.
-		// Parked heads still re-evaluate (a fault changes what they observe).
-		n.stirAll()
-		return
-	}
-	useXY := n.cfg.Mode == RouteXY || (n.cfg.Mode == RouteAuto && !n.haveFaults)
+// bindRows points every router's hop row at the table the current routing
+// state selects: nil (dimension-order hops from coordinates) on a healthy
+// fabric, under RouteXY and on huge fabrics, and the router's row of the
+// fault-aware tables otherwise. Rows are views, so binding copies nothing.
+func (n *Network) bindRows() {
+	useXY := n.huge || n.cfg.Mode == RouteXY || (n.cfg.Mode == RouteAuto && !n.haveFaults)
 	for _, r := range n.uniq {
-		var row []Port
-		if useXY {
-			row = n.xy[r.ID]
-		} else {
+		var row []int8
+		if !useXY {
 			row = n.tables.next[r.ID]
 		}
-		dst := n.state[r.ID].hop
-		for i, p := range row {
-			dst[i] = int8(p)
-		}
+		n.state[r.ID].hop = row
 	}
-	// New rows can change any parked head's fate (fresh detour, newly
-	// unreachable destination): wake everything holding traffic.
+}
+
+// applyRoutingRows rebinds the hop rows after a routing-state change and
+// wakes every router holding traffic: new rows can change any parked
+// head's fate (fresh detour, newly unreachable destination).
+func (n *Network) applyRoutingRows() {
+	n.bindRows()
 	n.stirAll()
 }
 
@@ -527,15 +550,10 @@ func (n *Network) servicePort(id int, st *routerState, port Port, now sim.Tick) 
 		}
 	}
 
-	// The next-hop row decides the packet's fate: Local means "this router
+	// The next hop decides the packet's fate: Local means "this router
 	// serves the destination" — the destination node itself, or a cluster
 	// member on concentrated topologies — and delivers through the sink.
-	out := PortInvalid
-	if hop := st.hop; uint(int(s.dst)) < uint(len(hop)) {
-		out = Port(hop[s.dst])
-	} else if st.hop == nil {
-		out = n.liveHop(NodeID(id), s.dst)
-	}
+	out := n.hop(st, s.dst)
 	if out == Local {
 		return n.deliverLocal(id, st, port, s, now)
 	}
@@ -1003,7 +1021,8 @@ func (n *Network) Revive(id NodeID, now sim.Tick) {
 	n.haveFaults = n.faultyCnt > 0
 	if n.faultyCnt == 0 {
 		// All healed: restore the cached fault-free tables (nil under modes
-		// that never computed them — the XY rows take over either way).
+		// that never computed them — dimension-order hops take over
+		// either way).
 		n.tables = n.healthy
 		n.applyRoutingRows()
 	} else if n.cfg.Mode != RouteXY {
@@ -1098,20 +1117,7 @@ func (n *Network) NextHop(from, dst NodeID) Port {
 	if dst < 0 || int(dst) >= n.nodes {
 		return PortInvalid
 	}
-	if n.huge {
-		return n.liveHop(n.routers[from].ID, int32(dst))
-	}
-	switch n.cfg.Mode {
-	case RouteXY:
-		return n.xy[from][dst]
-	case RouteTables:
-		return n.tables.NextHop(from, dst)
-	default: // RouteAuto
-		if !n.haveFaults {
-			return n.xy[from][dst]
-		}
-		return n.tables.NextHop(from, dst)
-	}
+	return n.hop(&n.state[n.routers[from].ID], int32(dst))
 }
 
 // Alive reports whether the node's router is functioning.

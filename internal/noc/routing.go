@@ -30,19 +30,14 @@ func (m RoutingMode) String() string {
 	return "unknown"
 }
 
-// xyNextHop is the topology's healthy-fabric dimension-order hop (XY on the
-// mesh). Kept as a free function because half the routing tests and the
-// network's precomputed rows speak in these terms.
-func xyNextHop(topo Topology, from, dst NodeID) Port {
-	return topo.BaseNextHop(from, dst)
-}
-
 // routeTables holds per-destination next-hop ports for every router,
 // computed by breadth-first search over the alive subgraph.
 type routeTables struct {
 	// next[from][dst] is the output port at from's router toward dst
-	// (PortInvalid when unreachable, Local when both share a router).
-	next [][]Port
+	// (PortInvalid when unreachable, Local when both share a router),
+	// narrowed to one byte per destination: routers bind their row as
+	// their hop row directly (Network.bindRows).
+	next [][]int8
 }
 
 // computeTables builds shortest-path next hops avoiding faulty routers, for
@@ -53,7 +48,7 @@ type routeTables struct {
 // comparison clean.
 func computeTables(topo Topology, alive func(NodeID) bool) *routeTables {
 	n := topo.Nodes()
-	rt := &routeTables{next: make([][]Port, n)}
+	rt := &routeTables{next: make([][]int8, n)}
 	// Nodes sharing a router have byte-identical rows (the Local condition
 	// and every hop depend only on the serving router), so only hub rows are
 	// materialised and filled; members alias them. Rows are read-only after
@@ -63,9 +58,9 @@ func computeTables(topo Topology, alive func(NodeID) bool) *routeTables {
 		if topo.RouterOf(NodeID(i)) != NodeID(i) {
 			continue
 		}
-		row := make([]Port, n)
+		row := make([]int8, n)
 		for j := range row {
-			row[j] = PortInvalid
+			row[j] = int8(PortInvalid)
 		}
 		rt.next[i] = row
 	}
@@ -114,7 +109,7 @@ func computeTables(topo Topology, alive func(NodeID) bool) *routeTables {
 				continue // row aliased to the hub's
 			}
 			if from == rdst {
-				rt.next[from][dst] = Local
+				rt.next[from][dst] = int8(Local)
 				continue
 			}
 			if dist[from] < 0 || !alive(from) {
@@ -123,7 +118,7 @@ func computeTables(topo Topology, alive func(NodeID) bool) *routeTables {
 			for _, p := range pref {
 				nb, ok := topo.Neighbor(from, p)
 				if ok && alive(nb) && dist[nb] == dist[from]-1 {
-					rt.next[from][dst] = p
+					rt.next[from][dst] = int8(p)
 					break
 				}
 			}
@@ -134,5 +129,5 @@ func computeTables(topo Topology, alive func(NodeID) bool) *routeTables {
 
 // NextHop returns the table's next hop, or PortInvalid when unreachable.
 func (rt *routeTables) NextHop(from, dst NodeID) Port {
-	return rt.next[from][dst]
+	return Port(rt.next[from][dst])
 }

@@ -12,7 +12,7 @@ func TestXYRoutingProgress(t *testing.T) {
 	cur := src
 	hops := 0
 	for cur != dst {
-		p := xyNextHop(topo, cur, dst)
+		p := topo.BaseNextHop(cur, dst)
 		nb, ok := topo.Neighbor(cur, p)
 		if !ok {
 			t.Fatalf("XY routed off-mesh at %v via %v", topo.Coord(cur), p)
@@ -32,14 +32,14 @@ func TestXYRoutesXFirst(t *testing.T) {
 	topo := NewTopology(8, 8)
 	from := topo.ID(Coord{2, 2})
 	to := topo.ID(Coord{5, 5})
-	if got := xyNextHop(topo, from, to); got != East {
+	if got := topo.BaseNextHop(from, to); got != East {
 		t.Errorf("XY first hop = %v, want East (X before Y)", got)
 	}
 	sameCol := topo.ID(Coord{2, 5})
-	if got := xyNextHop(topo, from, sameCol); got != South {
+	if got := topo.BaseNextHop(from, sameCol); got != South {
 		t.Errorf("XY same-column hop = %v, want South", got)
 	}
-	if got := xyNextHop(topo, from, from); got != Local {
+	if got := topo.BaseNextHop(from, from); got != Local {
 		t.Errorf("XY self hop = %v, want Local", got)
 	}
 }
@@ -51,9 +51,9 @@ func TestXYMonotoneProperty(t *testing.T) {
 		src := NodeID(int(rs) % topo.Nodes())
 		dst := NodeID(int(rd) % topo.Nodes())
 		if src == dst {
-			return xyNextHop(topo, src, dst) == Local
+			return topo.BaseNextHop(src, dst) == Local
 		}
-		p := xyNextHop(topo, src, dst)
+		p := topo.BaseNextHop(src, dst)
 		nb, ok := topo.Neighbor(src, p)
 		return ok && topo.Distance(nb, dst) == topo.Distance(src, dst)-1
 	}

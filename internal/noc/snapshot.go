@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
@@ -11,11 +12,13 @@ import (
 // Checkpoint support for the fabric (DESIGN.md §15). A NetworkState is a
 // deep, self-contained copy of everything a Network mutates while running:
 // the packet arena (per-slot packet values, generation tags, free list and
-// accounting), the shared ring-slot slice, the per-router hot records and
-// next-hop row contents, the active sets, byzantine arming (including each
-// router's private RNG stream), fault flags and fabric counters. Everything
-// immutable — topology, xy rows, neighbour wiring, the healthy route tables
-// — stays with the platform and is never copied.
+// accounting), the shared ring-slot slice, the per-router hot records, the
+// active sets, byzantine arming (including each router's private RNG
+// stream), fault flags and fabric counters. Everything immutable —
+// topology, per-axis hop tables, router coordinates, neighbour wiring, the
+// healthy route tables — stays with the platform and is never copied. Hop
+// rows are views into the route tables, so they are rebound on restore, not
+// copied.
 //
 // The fault-aware route tables sit in between: their *contents* are
 // immutable once computed (faults swap the pointer, never edit in place), so
@@ -102,7 +105,6 @@ type NetworkState struct {
 	pool       poolState
 	slots      []ringSlot
 	recs       []routerState // per-uniq hot records, hop row detached
-	hop        []int8        // flat hop-row contents, uniq-major (empty on huge)
 	cold       []routerCold
 	active     sim.ActiveSetState
 	hasByz     bool
@@ -131,20 +133,11 @@ func (n *Network) SaveState(st *NetworkState) {
 
 	st.recs = sliceFor(st.recs, len(n.uniq))
 	st.cold = sliceFor(st.cold, len(n.uniq))
-	if n.huge {
-		st.hop = st.hop[:0]
-	} else {
-		st.hop = sliceFor(st.hop, len(n.uniq)*n.nodes)
-	}
 	for i, r := range n.uniq {
-		rec := &n.state[r.ID]
-		st.recs[i] = *rec
-		// The row contents travel in the flat hop copy below; detaching the
-		// slice keeps the checkpoint from pinning the source fabric's backing.
+		st.recs[i] = n.state[r.ID]
+		// The row is a view into the route tables, which travel by
+		// reference below; LoadState rebinds it.
 		st.recs[i].hop = nil
-		if !n.huge {
-			copy(st.hop[i*n.nodes:(i+1)*n.nodes], rec.hop)
-		}
 		st.cold[i] = routerCold{deadlockLimit: r.deadlockLimit, requeueLimit: r.requeueLimit, stats: r.Stats}
 	}
 
@@ -175,13 +168,12 @@ func (n *Network) LoadState(st *NetworkState) {
 	copy(n.slots, st.slots)
 
 	for i, r := range n.uniq {
+		// The router's coordinates are derived at construction and not
+		// serialized: keep them across the record overwrite.
 		dst := &n.state[r.ID]
-		hop := dst.hop
+		x, y := dst.x, dst.y
 		*dst = st.recs[i]
-		dst.hop = hop
-		if hop != nil {
-			copy(hop, st.hop[i*n.nodes:(i+1)*n.nodes])
-		}
+		dst.x, dst.y = x, y
 		cold := &st.cold[i]
 		r.deadlockLimit, r.requeueLimit, r.Stats = cold.deadlockLimit, cold.requeueLimit, cold.stats
 	}
@@ -207,9 +199,9 @@ func (n *Network) LoadState(st *NetworkState) {
 	// Route tables: share the in-memory reference when the state carries
 	// one. A file-decoded state does not; recompute from the restored fault
 	// flags (deterministic — identical contents to the source's tables).
-	// Note applyRoutingRows is NOT called anywhere here: the hop rows were
-	// restored verbatim above, and rebinding them would stir parked routers,
-	// perturbing the quiet fast-forwards the snapshot captured.
+	// The hop rows are then bound to them without applyRoutingRows: a stir
+	// would wake parked routers, perturbing the quiet fast-forwards the
+	// snapshot captured.
 	switch {
 	case st.tables != nil:
 		n.tables = st.tables
@@ -218,6 +210,7 @@ func (n *Network) LoadState(st *NetworkState) {
 	default:
 		n.tables = n.healthy
 	}
+	n.bindRows()
 }
 
 // --- binary encoding (the network section of a checkpoint file) ---
@@ -392,10 +385,6 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	for i := range st.recs {
 		b = appendRouterRec(b, &st.recs[i])
 	}
-	b = wire.AppendU32(b, uint32(len(st.hop)))
-	for _, h := range st.hop {
-		b = wire.AppendU8(b, uint8(h))
-	}
 	b = wire.AppendU32(b, uint32(len(st.cold)))
 	for i := range st.cold {
 		c := &st.cold[i]
@@ -479,11 +468,6 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	for i := range st.recs {
 		readRouterRec(r, &st.recs[i])
 	}
-	n = r.Count(1)
-	st.hop = sliceFor(st.hop, n)
-	for i := range st.hop {
-		st.hop[i] = int8(r.U8())
-	}
 	n = r.Count(8)
 	st.cold = sliceFor(st.cold, n)
 	for i := range st.cold {
@@ -520,5 +504,33 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.stats.ByzDuplicated = r.U64()
 
 	st.tables = nil
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return st.checkLengths()
+}
+
+// checkLengths rejects a decoded state whose section lengths disagree with
+// its shape header. LoadState sizes its loops by the header (one record per
+// router, the fabric's full slot slice, one byzantine record per node), so
+// a corrupt file whose checksum still matches would otherwise panic there
+// instead of failing here.
+func (st *NetworkState) checkLengths() error {
+	if len(st.recs) != st.uniqN || len(st.cold) != st.uniqN {
+		return fmt.Errorf("noc: checkpoint has %d router records and %d cold records for %d routers",
+			len(st.recs), len(st.cold), st.uniqN)
+	}
+	hi, want := bits.Mul64(uint64(st.nodes)*uint64(NumPorts), uint64(st.spp))
+	if hi != 0 || uint64(len(st.slots)) != want {
+		return fmt.Errorf("noc: checkpoint has %d ring slots, want %d nodes × %d ports × %d",
+			len(st.slots), st.nodes, NumPorts, st.spp)
+	}
+	wantByz := 0
+	if st.hasByz {
+		wantByz = st.nodes
+	}
+	if len(st.byz) != wantByz {
+		return fmt.Errorf("noc: checkpoint has %d byzantine records, want %d", len(st.byz), wantByz)
+	}
+	return nil
 }

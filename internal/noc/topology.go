@@ -139,7 +139,10 @@ type Topology interface {
 	// BaseNextHop returns the healthy-fabric dimension-ordered next hop from
 	// id's router toward dst (Local when both share a router). It must be
 	// deadlock-free in the routing sense: per destination, following hops
-	// strictly decreases Distance, so the next-hop graph is cycle-free.
+	// strictly decreases Distance, so the next-hop graph is cycle-free. It
+	// must also be separable: the X decision depends only on the two
+	// columns, and when it is Local the Y decision depends only on the two
+	// rows — the network tabulates it per axis, never per node pair.
 	BaseNextHop(from, dst NodeID) Port
 	// String renders the canonical shape, e.g. "16x8 mesh".
 	String() string
