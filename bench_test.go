@@ -396,16 +396,34 @@ func BenchmarkAssemble(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectoryNearest measures the task-directory lookup on the hot
-// path of packet retargeting.
-func BenchmarkDirectoryNearest(b *testing.B) {
-	topo := noc.NewTopology(16, 8)
-	g := taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams())
-	m := taskgraph.RandomMapper{}.Map(g, 16, 8, sim.NewRNG(1))
-	d := node.NewDirectory(topo, m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Nearest(taskgraph.ForkWorker, noc.NodeID(i%128))
+// BenchmarkDirectoryRefill measures the directory lookups a run pays after
+// a task switch: one Set, then a Nearest and a NearestK(…, 4) for the worker
+// task from every anchor, then the switch undone.
+func BenchmarkDirectoryRefill(b *testing.B) {
+	for _, tc := range []struct {
+		name          string
+		width, height int
+	}{
+		{"16x8", 16, 8},
+		{"64x64", 64, 64},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			topo := noc.NewTopology(tc.width, tc.height)
+			g := taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams())
+			m := taskgraph.RandomMapper{}.Map(g, tc.width, tc.height, sim.NewRNG(1))
+			d := node.NewDirectory(topo, m)
+			old := d.TaskOf(0)
+			next := old%taskgraph.ForkSink + 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Set(0, next)
+				for from := noc.NodeID(0); int(from) < topo.Nodes(); from++ {
+					d.Nearest(taskgraph.ForkWorker, from)
+					d.NearestK(taskgraph.ForkWorker, from, 4)
+				}
+				d.Set(0, old)
+			}
+		})
 	}
 }

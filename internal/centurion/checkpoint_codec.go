@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 
 	"centurion/internal/aim"
@@ -29,10 +30,11 @@ import (
 //
 // Version 2 dropped the tiled kernel's per-tile state; version 3 dropped
 // the network section's hop-row contents (rows are now views into the
-// route tables, rebound on restore).
+// route tables, rebound on restore); version 4 dropped the directory's
+// mutation counter (its lookups keep no memo to invalidate).
 const (
 	ckptMagic     = "CENCKPT1"
-	ckptVersion   = 3
+	ckptVersion   = 4
 	ckptHeaderLen = 8 + 2 + 4 + 4
 )
 
@@ -83,8 +85,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	cp := &Checkpoint{}
 	r := wire.NewReader(payload)
-	decodeCheckpointPayload(r, cp)
-	if err := r.Err(); err != nil {
+	if err := decodeCheckpointPayload(r, cp); err != nil {
 		return nil, fmt.Errorf("centurion: malformed checkpoint payload: %w", err)
 	}
 	if r.Remaining() != 0 {
@@ -142,7 +143,6 @@ func appendCheckpointPayload(b []byte, cp *Checkpoint) []byte {
 	for _, a := range cp.dir.Alive {
 		b = wire.AppendBool(b, a)
 	}
-	b = wire.AppendU64(b, cp.dir.Version)
 
 	b = wire.AppendU32(b, uint32(len(cp.pes)))
 	for i := range cp.pes {
@@ -182,7 +182,7 @@ func appendCheckpointPayload(b []byte, cp *Checkpoint) []byte {
 	return b
 }
 
-func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
+func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) error {
 	cp.width = int(r.I64())
 	cp.height = int(r.I64())
 	cp.topology = r.String()
@@ -200,7 +200,7 @@ func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
 	cp.counters.PacketsRescued = r.U64()
 
 	if err := cp.net.DecodeBinary(r); err != nil {
-		return
+		return err
 	}
 
 	n := r.Count(8)
@@ -213,7 +213,6 @@ func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
 	for i := range cp.dir.Alive {
 		cp.dir.Alive[i] = r.Bool()
 	}
-	cp.dir.Version = r.U64()
 
 	n = r.Count(peStateMinSize)
 	cp.pes = make([]node.PEState, n)
@@ -256,6 +255,24 @@ func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
 		cp.retries[i].tap = noc.NodeID(r.I64())
 		cp.retries[i].at = sim.Tick(r.I64())
 	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return cp.checkDirLengths()
+}
+
+// checkDirLengths rejects a directory section whose lengths disagree with
+// the checkpoint's node grid. Restore sizes the directory by the target
+// platform, so a short section would otherwise panic there or silently
+// keep the target's liveness for the missing nodes.
+func (cp *Checkpoint) checkDirLengths() error {
+	hi, nodes := bits.Mul64(uint64(cp.width), uint64(cp.height))
+	if cp.width < 0 || cp.height < 0 || hi != 0 ||
+		uint64(len(cp.dir.TaskOf)) != nodes || uint64(len(cp.dir.Alive)) != nodes {
+		return fmt.Errorf("checkpoint directory has %d tasks and %d liveness flags for a %dx%d grid",
+			len(cp.dir.TaskOf), len(cp.dir.Alive), cp.width, cp.height)
+	}
+	return nil
 }
 
 // peStateMinSize is the smallest possible encoded PEState (all slices

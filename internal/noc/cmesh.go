@@ -80,6 +80,12 @@ func (c CMesh) Distance(a, b NodeID) int {
 	return dx + dy
 }
 
+// AppendRing implements Topology: every member of the clusters on the
+// Manhattan ring of id's cluster.
+func (c CMesh) AppendRing(dst []NodeID, id NodeID, d int) []NodeID {
+	return c.appendRing(dst, id, d, axisCluster)
+}
+
 // BaseNextHop implements Topology: XY dimension-order routing over the hub
 // express grid; Local when both nodes share a router.
 func (c CMesh) BaseNextHop(from, dst NodeID) Port {

@@ -131,8 +131,14 @@ type Topology interface {
 	// to each other even though they share a router).
 	Lateral(id NodeID, p Port) (NodeID, bool)
 	// Distance returns the hop distance between the two nodes' routers on
-	// the healthy fabric (0 for nodes sharing a router).
+	// the healthy fabric (0 for nodes sharing a router). It must split per
+	// axis as dX + dY, where dX depends only on the two columns and dY only
+	// on the two rows — AppendRing enumerates distance rings axis by axis.
 	Distance(a, b NodeID) int
+	// AppendRing appends to dst every node at exactly Distance d from id, in
+	// no particular order, and returns the extended slice. It allocates only
+	// when dst must grow.
+	AppendRing(dst []NodeID, id NodeID, d int) []NodeID
 	// RouterOf returns the node whose router serves id: id itself except in
 	// concentrated fabrics, where cluster members map to their hub.
 	RouterOf(id NodeID) NodeID
@@ -228,6 +234,77 @@ func (g grid) InBounds(c Coord) bool {
 	return c.X >= 0 && c.X < g.w && c.Y >= 0 && c.Y < g.h
 }
 
+// ringAxis names a topology's per-axis distance rule for appendRing.
+type ringAxis uint8
+
+const (
+	axisLine    ringAxis = iota // mesh: |Δ| along the row or column
+	axisRing                    // torus: distance around the wrapped ring
+	axisCluster                 // cmesh: |Δ| between 2-wide clusters
+)
+
+// axisAt writes into out the positions on an n-long axis at axis distance a
+// from p under the rule, and returns how many there are (at most 4).
+func axisAt(rule ringAxis, p, n, a int, out *[4]int) int {
+	k := 0
+	switch rule {
+	case axisLine:
+		if p-a >= 0 {
+			out[k] = p - a
+			k++
+		}
+		if a > 0 && p+a < n {
+			out[k] = p + a
+			k++
+		}
+	case axisRing:
+		if 2*a > n {
+			return 0
+		}
+		out[k] = (p + a) % n
+		k++
+		if a > 0 && 2*a < n {
+			out[k] = (p - a + n) % n
+			k++
+		}
+	case axisCluster:
+		c := p / 2
+		if c-a >= 0 {
+			out[k], out[k+1] = 2*(c-a), 2*(c-a)+1
+			k += 2
+		}
+		if a > 0 && 2*(c+a) < n {
+			out[k], out[k+1] = 2*(c+a), 2*(c+a)+1
+			k += 2
+		}
+	}
+	return k
+}
+
+// appendRing implements Topology.AppendRing for a distance that splits per
+// axis under rule: ring d is the union over a = 0..d of the columns at X
+// distance a times the rows at Y distance d−a.
+func (g grid) appendRing(dst []NodeID, id NodeID, d int, rule ringAxis) []NodeID {
+	if d < 0 {
+		return dst
+	}
+	c := g.Coord(id)
+	var xs, ys [4]int
+	for a := 0; a <= d; a++ {
+		nx := axisAt(rule, c.X, g.w, a, &xs)
+		if nx == 0 {
+			continue
+		}
+		ny := axisAt(rule, c.Y, g.h, d-a, &ys)
+		for _, y := range ys[:ny] {
+			for _, x := range xs[:nx] {
+				dst = append(dst, NodeID(y*g.w+x))
+			}
+		}
+	}
+	return dst
+}
+
 // gridNeighbor is plain (non-wrapping) grid adjacency.
 func (g grid) gridNeighbor(id NodeID, p Port) (NodeID, bool) {
 	c := g.Coord(id)
@@ -273,6 +350,11 @@ func (m Mesh) Lateral(id NodeID, p Port) (NodeID, bool) { return m.gridNeighbor(
 // Distance implements Topology: the Manhattan metric.
 func (m Mesh) Distance(a, b NodeID) int {
 	return m.Coord(a).Manhattan(m.Coord(b))
+}
+
+// AppendRing implements Topology: the Manhattan ring, clipped at the edges.
+func (m Mesh) AppendRing(dst []NodeID, id NodeID, d int) []NodeID {
+	return m.appendRing(dst, id, d, axisLine)
 }
 
 // RouterOf implements Topology: every node owns its router.

@@ -75,6 +75,12 @@ func (t Torus) Distance(a, b NodeID) int {
 	return ringDist(ac.X, bc.X, t.w) + ringDist(ac.Y, bc.Y, t.h)
 }
 
+// AppendRing implements Topology: the ring under per-dimension ring
+// distances.
+func (t Torus) AppendRing(dst []NodeID, id NodeID, d int) []NodeID {
+	return t.appendRing(dst, id, d, axisRing)
+}
+
 // RouterOf implements Topology: every node owns its router.
 func (Torus) RouterOf(id NodeID) NodeID { return id }
 

@@ -20,58 +20,19 @@ type Directory struct {
 	taskOf []taskgraph.TaskID
 	alive  []bool
 	byTask map[taskgraph.TaskID][]noc.NodeID
-	// Version increments on every mutation; cached lookups use it to detect
-	// staleness.
-	Version uint64
 
-	// nearCache and nearKCache memoize Nearest/NearestK results per
-	// (task, anchor) query; they are valid while Version == nearVersion and
-	// are flushed lazily on the first lookup after a mutation. Both lookups
-	// sit on hot paths — Nearest on packet retargeting, NearestK on every
-	// fork spread in generate/finish — and the directory mutates only on
-	// task switches and deaths, so between switches every repeated lookup
-	// is a single map probe instead of an owner scan.
-	nearCache   map[nearestKey]noc.NodeID
-	nearKCache  map[nearestKKey][]noc.NodeID
-	nearVersion uint64
-
-	// arena backs the slices stored in nearKCache: results are carved off
-	// its tail and the whole arena is truncated on flush, so cache refills
-	// after a mutation stop allocating once it has grown to the working-set
-	// size. candBuf is the owner-scan scratch of NearestK.
-	arena   []noc.NodeID
-	candBuf []ownerCand
+	// Scratch of NearestK, reused across calls: ring holds the distance
+	// ring being searched, cands the owner-scan entries, and out the
+	// result handed back to the caller.
+	ring  []noc.NodeID
+	cands []ownerCand
+	out   []noc.NodeID
 }
 
 // ownerCand is NearestK's owner-scan scratch entry.
 type ownerCand struct {
 	id   noc.NodeID
 	dist int
-}
-
-// nearestKey identifies one memoized Nearest query.
-type nearestKey struct {
-	task taskgraph.TaskID
-	from noc.NodeID
-}
-
-// nearestKKey identifies one memoized NearestK query.
-type nearestKKey struct {
-	task taskgraph.TaskID
-	from noc.NodeID
-	k    int
-}
-
-// flushStale lazily invalidates the memoized lookups after a mutation. The
-// arena is truncated with the cache that referenced it: the retained backing
-// array is rewritten by the next refills.
-func (d *Directory) flushStale() {
-	if d.nearVersion != d.Version {
-		clear(d.nearCache)
-		clear(d.nearKCache)
-		d.arena = d.arena[:0]
-		d.nearVersion = d.Version
-	}
 }
 
 // NewDirectory builds a directory from an initial mapping.
@@ -95,8 +56,7 @@ func NewDirectory(topo noc.Topology, m taskgraph.Mapping) *Directory {
 
 // Reset rebuilds the directory in place from a fresh mapping: every node
 // comes back alive running its mapped task. The per-task owner lists retain
-// their capacity, and the memoized lookups are invalidated through the usual
-// version bump.
+// their capacity.
 func (d *Directory) Reset(m taskgraph.Mapping) {
 	if len(m) != len(d.taskOf) {
 		panic("node: reset mapping size does not match directory")
@@ -111,7 +71,6 @@ func (d *Directory) Reset(m taskgraph.Mapping) {
 		// would keep them.
 		d.byTask[task] = append(d.byTask[task], noc.NodeID(i))
 	}
-	d.Version++
 }
 
 // TaskOf returns the task the node currently runs.
@@ -129,18 +88,11 @@ func (d *Directory) Set(id noc.NodeID, task taskgraph.TaskID) {
 	d.taskOf[id] = task
 	d.byTask[old] = removeID(d.byTask[old], id)
 	d.byTask[task] = insertID(d.byTask[task], id)
-	d.Version++
 }
 
 // SetAlive marks a node alive or dead; dead nodes are excluded from
 // nearest-owner queries.
-func (d *Directory) SetAlive(id noc.NodeID, alive bool) {
-	if d.alive[id] == alive {
-		return
-	}
-	d.alive[id] = alive
-	d.Version++
-}
+func (d *Directory) SetAlive(id noc.NodeID, alive bool) { d.alive[id] = alive }
 
 // Count returns how many alive nodes run the task.
 func (d *Directory) Count(task taskgraph.TaskID) int {
@@ -167,65 +119,73 @@ func (d *Directory) Counts(maxID taskgraph.TaskID) []int {
 // Nearest returns the alive node running task that is closest (by topology
 // distance) to from, breaking ties toward the smaller node ID. The tie-break
 // is what keeps results deterministic across topologies: wrap-around links
-// (torus) and shared routers (cmesh) make exact-distance ties common, and
-// the per-task owner lists are kept sorted so the ascending scan always
-// lands on the same winner. ok is false when no alive node runs the task.
-// Results are memoized per (task, from) until the next directory mutation.
+// (torus) and shared routers (cmesh) make exact-distance ties common. ok is
+// false when no alive node runs the task. It is NearestK with k = 1.
 func (d *Directory) Nearest(task taskgraph.TaskID, from noc.NodeID) (noc.NodeID, bool) {
-	if d.nearCache == nil {
-		d.nearCache = make(map[nearestKey]noc.NodeID, 64)
+	if out := d.NearestK(task, from, 1); len(out) > 0 {
+		return out[0], true
 	}
-	d.flushStale()
-	key := nearestKey{task, from}
-	if best, ok := d.nearCache[key]; ok {
-		return best, best != noc.Invalid
-	}
-	best := noc.Invalid
-	bestDist := 1 << 30
-	for _, id := range d.byTask[task] {
-		if !d.alive[id] {
-			continue
-		}
-		dist := d.topo.Distance(from, id)
-		if dist < bestDist || (dist == bestDist && id < best) {
-			best, bestDist = id, dist
-		}
-	}
-	d.nearCache[key] = best
-	return best, best != noc.Invalid
+	return noc.Invalid, false
 }
 
 // NearestK returns up to k distinct alive owners of task ordered by
-// topology distance from from (ties toward smaller IDs — the same stable
-// order Nearest guarantees, so both lookups agree on every topology). Used
-// by fork nodes to spread parallel branches over nearby workers. Results are
-// memoized per (task, from, k) until the next directory mutation; callers
-// must not mutate the returned slice and must not retain it across a
-// mutation (its arena-backed storage is recycled on the next refill).
+// topology distance from from, ties toward smaller IDs. Used by fork nodes
+// to spread parallel branches over nearby workers. The returned slice is the
+// directory's scratch: it is valid until the next NearestK or Nearest call
+// and must not be mutated.
+//
+// The search walks outward from from in rings of equal distance
+// (Topology.AppendRing), collecting each ring's alive owners in ID order,
+// and stops after the first ring that brings the count to k — the local
+// search a router performs toward the nearest node advertising a task. Once
+// it has visited more nodes than the task has owners, scanning the owner
+// list is cheaper, so it switches to that; either way a query costs at most
+// about min(nodes near from, owners of task).
 func (d *Directory) NearestK(task taskgraph.TaskID, from noc.NodeID, k int) []noc.NodeID {
-	if d.nearKCache == nil {
-		d.nearKCache = make(map[nearestKKey][]noc.NodeID, 64)
-	}
-	d.flushStale()
-	key := nearestKKey{task, from, k}
-	if out, ok := d.nearKCache[key]; ok {
+	owners := d.byTask[task]
+	out := d.out[:0]
+	if k <= 0 || len(owners) == 0 {
 		return out
 	}
-	cands := d.candBuf[:0]
-	for _, id := range d.byTask[task] {
+	visited := 0
+	for r := 0; visited < len(d.taskOf); r++ {
+		if visited > len(owners) {
+			out = d.scanOwners(out[:0], owners, from, k)
+			break
+		}
+		d.ring = d.topo.AppendRing(d.ring[:0], from, r)
+		visited += len(d.ring)
+		start := len(out)
+		for _, id := range d.ring {
+			if d.taskOf[id] == task && d.alive[id] {
+				// Insertion sort: a ring holds few owners.
+				out = append(out, id)
+				for i := len(out) - 1; i > start && out[i] < out[i-1]; i-- {
+					out[i], out[i-1] = out[i-1], out[i]
+				}
+			}
+		}
+		if len(out) >= k {
+			out = out[:k]
+			break
+		}
+	}
+	d.out = out
+	return out
+}
+
+// scanOwners is NearestK by scanning every owner of the task: it appends to
+// out the k nearest alive owners by (distance, ID), picked by a selection
+// sort of the first k (k is the fork fan-out, tiny).
+func (d *Directory) scanOwners(out, owners []noc.NodeID, from noc.NodeID, k int) []noc.NodeID {
+	cands := d.cands[:0]
+	for _, id := range owners {
 		if d.alive[id] {
 			cands = append(cands, ownerCand{id, d.topo.Distance(from, id)})
 		}
 	}
-	d.candBuf = cands // keep the grown scratch
-	// Selection sort of the first k: k is tiny (the fork fan-out).
-	if k > len(cands) {
-		k = len(cands)
-	}
-	// Carve the result off the arena tail. Appends beyond capacity move the
-	// arena to a new backing array; earlier cached slices keep referencing
-	// the old one, which stays alive until they are flushed with it.
-	start := len(d.arena)
+	d.cands = cands
+	k = min(k, len(cands))
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < len(cands); j++ {
@@ -235,10 +195,8 @@ func (d *Directory) NearestK(task taskgraph.TaskID, from noc.NodeID, k int) []no
 			}
 		}
 		cands[i], cands[best] = cands[best], cands[i]
-		d.arena = append(d.arena, cands[i].id)
+		out = append(out, cands[i].id)
 	}
-	out := d.arena[start:len(d.arena):len(d.arena)]
-	d.nearKCache[key] = out
 	return out
 }
 

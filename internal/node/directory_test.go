@@ -1,6 +1,8 @@
 package node
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -34,22 +36,12 @@ func TestDirectoryBasics(t *testing.T) {
 
 func TestDirectorySetReindexes(t *testing.T) {
 	d := dir4x4()
-	v := d.Version
 	d.Set(0, 2)
 	if d.TaskOf(0) != 2 {
 		t.Error("Set did not change task")
 	}
 	if d.Count(1) != 5 || d.Count(2) != 6 {
 		t.Errorf("counts after Set: t1=%d t2=%d", d.Count(1), d.Count(2))
-	}
-	if d.Version == v {
-		t.Error("Version did not change")
-	}
-	// No-op set does not bump version.
-	v = d.Version
-	d.Set(0, 2)
-	if d.Version != v {
-		t.Error("no-op Set bumped version")
 	}
 }
 
@@ -110,9 +102,9 @@ func TestDirectoryNearestK(t *testing.T) {
 	}
 }
 
-// The memoized Nearest/NearestK lookups must stay coherent across directory
-// mutations: a cached answer from before a Set/SetAlive would steer packets
-// at stale owners. Version is the staleness signal.
+// The Nearest/NearestK lookups must stay coherent across directory
+// mutations: an answer from before a Set/SetAlive would steer packets at
+// stale owners.
 func TestDirectoryNearestCacheInvalidation(t *testing.T) {
 	topo := noc.NewTopology(4, 1)
 	d := NewDirectory(topo, taskgraph.Mapping{1, 2, 2, 1})
@@ -298,6 +290,136 @@ func TestNearestAgreesWithNearestK(t *testing.T) {
 					t.Fatalf("%s: Nearest=%d but NearestK[0]=%v (task %d from %d)", topo, near, k, task, from)
 				}
 			}
+		}
+	}
+}
+
+// bruteNearest is the reference answer for NearestK: every alive owner of
+// task sorted by (distance from from, ID), cut to k.
+func bruteNearest(d *Directory, topo noc.Topology, task taskgraph.TaskID, from noc.NodeID, k int) []noc.NodeID {
+	var out []noc.NodeID
+	for id := noc.NodeID(0); int(id) < topo.Nodes(); id++ {
+		if d.Alive(id) && d.TaskOf(id) == task {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		di, dj := topo.Distance(from, out[i]), topo.Distance(from, out[j])
+		return di < dj || (di == dj && out[i] < out[j])
+	})
+	return out[:min(k, len(out))]
+}
+
+// Task roles in the randomized directory test: 1–3 are common, sparseTask
+// has one or two owners (the owner-scan path), deadTask's owners are all
+// dead, and noTask is never mapped.
+const (
+	sparseTask taskgraph.TaskID = 4
+	deadTask   taskgraph.TaskID = 5
+	noTask     taskgraph.TaskID = 6
+)
+
+// randomDirMapping maps most nodes to tasks 1–3, one or two to sparseTask
+// and two to deadTask (killed by the caller).
+func randomDirMapping(rng *sim.RNG, n int) taskgraph.Mapping {
+	m := make(taskgraph.Mapping, n)
+	for i := range m {
+		m[i] = taskgraph.TaskID(rng.Intn(3) + 1)
+	}
+	perm := rng.Perm(n)
+	m[perm[0]], m[perm[1]], m[perm[2]] = deadTask, deadTask, sparseTask
+	if rng.Intn(2) == 0 {
+		m[perm[3]] = sparseTask
+	}
+	return m
+}
+
+// killDeadTask marks every deadTask owner dead.
+func killDeadTask(d *Directory) {
+	for id := range d.taskOf {
+		if d.taskOf[id] == deadTask {
+			d.SetAlive(noc.NodeID(id), false)
+		}
+	}
+}
+
+// Property: under random Set/SetAlive/Reset/LoadState sequences, Nearest and
+// NearestK answer exactly the brute-force (distance, ID) order on every
+// topology — whether the search stops in a distance ring or falls back to
+// scanning a sparse task's owners, and when no alive owner exists.
+func TestDirectoryNearestMatchesBruteForce(t *testing.T) {
+	for _, topo := range []noc.Topology{noc.NewMesh(12, 10), noc.NewTorus(9, 7), noc.NewCMesh(12, 10)} {
+		t.Run(topo.Kind(), func(t *testing.T) {
+			rng := sim.NewRNG(7)
+			n := topo.Nodes()
+			d := NewDirectory(topo, randomDirMapping(rng, n))
+			killDeadTask(d)
+			var saved DirectoryState
+			d.SaveState(&saved)
+			for step := 0; step < 300; step++ {
+				switch op := rng.Intn(10); {
+				case op < 5:
+					id := noc.NodeID(rng.Intn(n))
+					task := taskgraph.TaskID(rng.Intn(3) + 1)
+					if d.TaskOf(id) == deadTask {
+						break // keep deadTask's owners
+					}
+					if rng.Intn(8) == 0 && d.Count(sparseTask) < 2 {
+						task = sparseTask
+					}
+					d.Set(id, task)
+				case op < 8:
+					id := noc.NodeID(rng.Intn(n))
+					if d.TaskOf(id) != deadTask {
+						d.SetAlive(id, !d.Alive(id))
+					}
+				case op < 9:
+					d.SaveState(&saved)
+					d.Reset(randomDirMapping(rng, n))
+					killDeadTask(d)
+				default:
+					d.LoadState(&saved)
+				}
+				for q := 0; q < 6; q++ {
+					from := noc.NodeID(rng.Intn(n))
+					for task := taskgraph.TaskID(1); task <= noTask; task++ {
+						all := bruteNearest(d, topo, task, from, 12)
+						got, ok := d.Nearest(task, from)
+						if ok != (len(all) > 0) || (ok && got != all[0]) {
+							t.Fatalf("step %d: Nearest(%d, %d) = %d,%v, want %v", step, task, from, got, ok, all[:min(1, len(all))])
+						}
+						for k := 1; k <= 12; k++ {
+							want := all[:min(k, len(all))]
+							if got := d.NearestK(task, from, k); !slices.Equal(got, want) {
+								t.Fatalf("step %d: NearestK(%d, %d, %d) = %v, want %v", step, task, from, k, got, want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// Nearest and NearestK reuse the directory's scratch, so once it has grown
+// to the largest answer a lookup allocates nothing — on both the ring
+// search and the owner-scan path.
+func TestNearestAllocFree(t *testing.T) {
+	for _, topo := range []noc.Topology{noc.NewMesh(16, 8), noc.NewTorus(16, 8), noc.NewCMesh(16, 8)} {
+		rng := sim.NewRNG(3)
+		d := NewDirectory(topo, randomDirMapping(rng, topo.Nodes()))
+		killDeadTask(d)
+		query := func() {
+			for from := noc.NodeID(0); int(from) < topo.Nodes(); from++ {
+				for task := taskgraph.TaskID(1); task <= noTask; task++ {
+					d.Nearest(task, from)
+					d.NearestK(task, from, 12)
+				}
+			}
+		}
+		query() // warm-up: grow the scratch
+		if allocs := testing.AllocsPerRun(10, query); allocs != 0 {
+			t.Errorf("%s: a lookup sweep allocates %.1f objects", topo, allocs)
 		}
 	}
 }

@@ -163,28 +163,23 @@ func (pe *PE) LoadState(st *PEState, pool *noc.PacketPool) {
 }
 
 // DirectoryState is a deep copy of the task directory's mutable state. The
-// per-task owner index and the memoized lookups are derived data: restore
-// rebuilds the former (node IDs ascend, matching insertID's sort order) and
-// flushes the latter.
+// per-task owner index is derived data: restore rebuilds it (node IDs
+// ascend, matching insertID's sort order).
 type DirectoryState struct {
-	TaskOf  []taskgraph.TaskID
-	Alive   []bool
-	Version uint64
+	TaskOf []taskgraph.TaskID
+	Alive  []bool
 }
 
 // SaveState copies the directory's authoritative state into st.
 func (d *Directory) SaveState(st *DirectoryState) {
 	st.TaskOf = append(st.TaskOf[:0], d.taskOf...)
 	st.Alive = append(st.Alive[:0], d.alive...)
-	st.Version = d.Version
 }
 
 // LoadState restores the directory from st. The owner lists come out sorted
-// exactly as incremental insertID maintenance would have left them, and the
-// memo caches are flushed (they are pure memoization — refills after restore
-// recompute identical answers).
+// exactly as incremental insertID maintenance would have left them.
 func (d *Directory) LoadState(st *DirectoryState) {
-	if len(st.TaskOf) != len(d.taskOf) {
+	if len(st.TaskOf) != len(d.taskOf) || len(st.Alive) != len(d.alive) {
 		panic("node: directory checkpoint size mismatch")
 	}
 	for task, owners := range d.byTask {
@@ -195,9 +190,4 @@ func (d *Directory) LoadState(st *DirectoryState) {
 	for i, task := range d.taskOf {
 		d.byTask[task] = append(d.byTask[task], noc.NodeID(i))
 	}
-	d.Version = st.Version
-	clear(d.nearCache)
-	clear(d.nearKCache)
-	d.arena = d.arena[:0]
-	d.nearVersion = st.Version
 }
