@@ -427,3 +427,32 @@ func BenchmarkDirectoryRefill(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRouteRebuild measures one fault event's route-table rebuild: a
+// router fails, the first routing read rebuilds the fault-aware tables,
+// and the router is revived (the healed fabric falls back to
+// dimension-order routing without a build), so every iteration builds the
+// tables exactly once.
+func BenchmarkRouteRebuild(b *testing.B) {
+	for _, tc := range []struct {
+		name          string
+		width, height int
+	}{
+		{"16x8", 16, 8},
+		{"64x64", 64, 64},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			topo := noc.NewTopology(tc.width, tc.height)
+			n := noc.NewNetwork(topo, noc.DefaultConfig())
+			victim := topo.ID(noc.Coord{X: tc.width / 2, Y: tc.height / 2})
+			last := noc.NodeID(topo.Nodes() - 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.Fail(victim, 0)
+				n.NextHop(0, last)
+				n.Revive(victim, 0)
+			}
+		})
+	}
+}

@@ -49,7 +49,7 @@ var (
 // EncodeCheckpoint serializes cp into the versioned, checksummed binary
 // checkpoint format.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
-	b := make([]byte, ckptHeaderLen, ckptHeaderLen+1024)
+	b := make([]byte, ckptHeaderLen, cp.EncodedLen())
 	copy(b, ckptMagic)
 	binary.LittleEndian.PutUint16(b[8:10], ckptVersion)
 	b = appendCheckpointPayload(b, cp)
@@ -114,6 +114,29 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return cp, nil
+}
+
+// EncodedLen is the exact length of EncodeCheckpoint(cp), header
+// included, computed without encoding — what a byte budget charges for
+// holding cp.
+func (cp *Checkpoint) EncodedLen() int {
+	n := ckptHeaderLen + 7*8 + 4 + len(cp.topology) + 6*8
+	n += cp.net.EncodedLen()
+	n += 4 + 8*len(cp.dir.TaskOf) + 4 + len(cp.dir.Alive)
+	n += 4
+	for i := range cp.pes {
+		st := &cp.pes[i]
+		n += peStateMinSize + 4*len(st.Queue) + 4*len(st.Outbox) + 32*len(st.Joins) + 16*len(st.Outstanding)
+	}
+	n += 4
+	for i := range cp.engines {
+		n += engineStateMinSize + 4*len(cp.engines[i].Counts) + 4*len(cp.engines[i].Thresholds)
+	}
+	n += 1 + 4 + 8*len(cp.heat.Temp) + 4 + 8*len(cp.heat.Last) + 8 + 4 + len(cp.throttled)
+	n += 4 + 8*len(cp.peActive.Words) + 8 + 4 + 8*len(cp.engActive.Words) + 8
+	n += 4 + 8*len(cp.peWakeAt) + 4 + 8*len(cp.engWakeAt)
+	n += 4 + 20*len(cp.retries)
+	return n
 }
 
 func appendCheckpointPayload(b []byte, cp *Checkpoint) []byte {
@@ -200,6 +223,9 @@ func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) error {
 	cp.counters.PacketsRescued = r.U64()
 
 	if err := cp.net.DecodeBinary(r); err != nil {
+		return err
+	}
+	if err := cp.net.CheckTopology(cp.topology, cp.width, cp.height); err != nil {
 		return err
 	}
 
@@ -367,7 +393,7 @@ func readPEState(r *wire.Reader, st *node.PEState) {
 }
 
 // engineStateMinSize is the smallest possible encoded EngineState.
-const engineStateMinSize = 1 + 8 + 7*8 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 1 + 1 + 8 + 8
+const engineStateMinSize = 1 + 8 + 6*8 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 1 + 1 + 8 + 8
 
 func appendEngineState(b []byte, st *aim.EngineState) []byte {
 	b = wire.AppendU8(b, st.Kind)

@@ -87,6 +87,32 @@ func TestFaultInjectionReducesCapacity(t *testing.T) {
 	}
 }
 
+// TestInjectFaultsBuildsRoutesOnce kills 32 nodes of a loaded fabric in one
+// event: the fault-aware route tables are built once, by the first tick
+// after the event, however many routers failed and whatever the drop
+// handlers of the drained routers did in between.
+func TestInjectFaultsBuildsRoutesOnce(t *testing.T) {
+	p := heuristicPlatform(3)
+	p.RunFor(sim.Ms(100), nil)
+	builds, dropped := p.Net.RouteBuilds(), p.Net.Stats().Dropped
+
+	p.InjectFaults(faults.RandomNodes(p.Topo, 32, sim.NewRNG(99)))
+	if p.Net.Stats().Dropped == dropped {
+		t.Fatal("no packet was drained from a failed router: the event exercised no drop handler")
+	}
+	if got := p.Net.RouteBuilds() - builds; got != 0 {
+		t.Fatalf("InjectFaults built the route tables %d times before any read", got)
+	}
+	p.Step()
+	if got := p.Net.RouteBuilds() - builds; got != 1 {
+		t.Fatalf("a 32-node fault event built the route tables %d times, want 1", got)
+	}
+	p.RunFor(sim.Ms(10), nil)
+	if got := p.Net.RouteBuilds() - builds; got != 1 {
+		t.Fatalf("stepping on after the event rebuilt the tables (%d builds)", got)
+	}
+}
+
 func TestFFWAdaptsAfterFaults(t *testing.T) {
 	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 5)
 	p := New(cfg)

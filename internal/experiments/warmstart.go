@@ -226,7 +226,7 @@ func buildWarmEntry(p *centurion.Platform, res *Result, div, windows int) *warmE
 		e.cp = p.Snapshot()
 		// The encoded length is the exact payload size of the state held —
 		// the honest budget figure for eviction accounting.
-		e.bytes += len(centurion.EncodeCheckpoint(e.cp))
+		e.bytes += e.cp.EncodedLen()
 	} else {
 		e.counters = p.Counters()
 	}

@@ -50,8 +50,10 @@ func TestRouterStateSize(t *testing.T) {
 }
 
 // checkRows reports whether every router's hop row is nil (wantNil) or
-// exactly its row of the live route tables.
+// exactly its row of the live route tables, as the first routing read after
+// a fault event sees them (Fail and Revive only mark the tables stale).
 func checkRows(n *Network, wantNil bool) error {
+	n.NextHop(0, 0)
 	for _, r := range n.uniq {
 		row := n.state[r.ID].hop
 		if wantNil {
@@ -90,6 +92,9 @@ func TestHopRowLifecycle(t *testing.T) {
 		a, b := topo.ID(Coord{2, 2}), topo.ID(Coord{4, 0})
 		n.Fail(a, 0)
 		n.Fail(b, 0)
+		if n.tableBuilds != 0 || n.state[0].hop != nil {
+			t.Fatalf("%v: Fail built %d tables and bound rows before any read", topo, n.tableBuilds)
+		}
 		if err := checkRows(n, false); err != nil {
 			t.Fatalf("%v after Fail: %v", topo, err)
 		}
@@ -189,5 +194,47 @@ func TestNewNetworkHealthyMemory(t *testing.T) {
 	runtime.KeepAlive(n)
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 16 {
 		t.Fatalf("NewNetwork(64x64 mesh) allocated %.1f MB, want < 16 MB", mb)
+	}
+}
+
+// TestReadAfterFailSeesNewTables: the tables are rebuilt lazily, so the
+// first routing read right after a Fail or Revive — Reachable or NextHop,
+// with no tick in between — must already see the new fault set.
+func TestReadAfterFailSeesNewTables(t *testing.T) {
+	topo := NewMesh(8, 8)
+	n := NewNetwork(topo, DefaultConfig())
+	left, right := topo.ID(Coord{0, 0}), topo.ID(Coord{7, 0})
+	var wall []NodeID
+	for y := 0; y < 8; y++ {
+		wall = append(wall, topo.ID(Coord{4, y}))
+	}
+	for _, id := range wall {
+		n.Fail(id, 0)
+	}
+	if n.Reachable(left, right) {
+		t.Fatal("Reachable across a full dead column right after Fail")
+	}
+	if got := n.NextHop(left, right); got != PortInvalid {
+		t.Fatalf("NextHop across a full dead column = %v, want PortInvalid", got)
+	}
+	builds := n.tableBuilds
+
+	gap := wall[7]
+	n.Revive(gap, 0)
+	if !n.Reachable(left, right) {
+		t.Fatal("Reachable through a revived gap = false right after Revive")
+	}
+	dead := map[NodeID]bool{}
+	for _, id := range wall[:7] {
+		dead[id] = true
+	}
+	want := referenceTables(topo, func(id NodeID) bool { return !dead[id] })
+	for from := NodeID(0); int(from) < topo.Nodes(); from++ {
+		if got := n.NextHop(from, right); got != want.NextHop(from, right) {
+			t.Fatalf("NextHop %d→%d = %v after Revive, reference %v", from, right, got, want.NextHop(from, right))
+		}
+	}
+	if n.tableBuilds != builds+1 {
+		t.Fatalf("Revive and %d reads built %d tables, want 1", topo.Nodes()+1, n.tableBuilds-builds)
 	}
 }

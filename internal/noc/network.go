@@ -183,6 +183,12 @@ type Network struct {
 	healthy    *routeTables
 	haveFaults bool
 	faultyCnt  int
+	// stale marks tables that no longer match the fault set: Fail and
+	// Revive only set it, and the first reader rebuilds (refreshRoutes),
+	// so the k Fail calls of one fault event cost one build. tableBuilds
+	// counts the builds.
+	stale       bool
+	tableBuilds uint64
 
 	// The topology's dimension-order hop, split by axis (see hop):
 	// colHop[fx*gridW+dx] is the X decision between grid columns and
@@ -295,10 +301,10 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 		}
 	}
 	if cfg.Mode == RouteTables && !n.huge {
-		n.RecomputeRoutes()
-	} else {
-		n.applyRoutingRows()
+		n.healthy = n.buildTables()
+		n.tables = n.healthy
 	}
+	n.bindRows()
 	return n
 }
 
@@ -397,6 +403,29 @@ func (n *Network) applyRoutingRows() {
 	n.stirAll()
 }
 
+// routesChanged records a change of the fault set. The route tables go
+// stale — rebuilt once, by the next reader — and every router holding
+// traffic is stirred now, exactly as an eager rebuild would have: its
+// parked heads are re-evaluated on the next tick, which reads the rebuilt
+// rows. Under pure XY and on huge fabrics there are no tables, so only the
+// stir remains.
+func (n *Network) routesChanged() {
+	if !n.huge && n.cfg.Mode != RouteXY {
+		n.stale = true
+	}
+	n.stirAll()
+}
+
+// refreshRoutes rebuilds stale route tables and rebinds the hop rows. It is
+// exact to defer the build to the first read: the tables are a pure
+// function of the fault set, and every reader of the routing state (Tick,
+// TickDense, NextHop, Reachable, SaveState) checks stale first.
+func (n *Network) refreshRoutes() {
+	n.stale = false
+	n.tables = n.buildTables()
+	n.bindRows()
+}
+
 // Router returns the router serving the given node (shared by the whole
 // cluster on concentrated topologies).
 func (n *Network) Router(id NodeID) *Router { return n.routers[id] }
@@ -419,6 +448,9 @@ func (n *Network) Stats() NetworkStats { return n.stats }
 // TickDense (a router with no queued packets is a no-op tick either way;
 // its round-robin pointer only advances while traffic is buffered).
 func (n *Network) Tick(now sim.Tick) {
+	if n.stale {
+		n.refreshRoutes()
+	}
 	n.active.Sweep(func(id int) bool {
 		st := &n.state[id]
 		n.tickRouter(id, st, now)
@@ -429,6 +461,9 @@ func (n *Network) Tick(now sim.Tick) {
 // TickDense advances every router by one cycle, active or not — the
 // pre-active-set reference scan kept for the stepping-equivalence tests.
 func (n *Network) TickDense(now sim.Tick) {
+	if n.stale {
+		n.refreshRoutes()
+	}
 	for _, r := range n.uniq {
 		n.tickRouter(int(r.ID), &n.state[r.ID], now)
 	}
@@ -1003,11 +1038,11 @@ func (n *Network) SetLinkHealth(id NodeID, p Port, healthy bool, now sim.Tick) {
 }
 
 // Revive returns a failed router to service: rings were already drained at
-// Fail time, so the router restarts empty, routes recompute around the
-// restored fabric (or collapse back to the cached healthy tables when the
-// last fault heals), and parked neighbours re-evaluate. On concentrated
-// topologies this re-attaches the node's whole cluster. Reviving a healthy
-// router is a no-op.
+// Fail time, so the router restarts empty, routes go stale for a rebuild
+// around the restored fabric (or collapse back to the cached healthy tables
+// when the last fault heals), and parked neighbours re-evaluate. On
+// concentrated topologies this re-attaches the node's whole cluster.
+// Reviving a healthy router is a no-op.
 func (n *Network) Revive(id NodeID, now sim.Tick) {
 	r := n.routers[id]
 	rid := int(r.ID)
@@ -1023,12 +1058,11 @@ func (n *Network) Revive(id NodeID, now sim.Tick) {
 		// All healed: restore the cached fault-free tables (nil under modes
 		// that never computed them — dimension-order hops take over
 		// either way).
+		n.stale = false
 		n.tables = n.healthy
 		n.applyRoutingRows()
-	} else if n.cfg.Mode != RouteXY {
-		n.RecomputeRoutes() // stirs every parked router via applyRoutingRows
 	} else {
-		n.stirAll()
+		n.routesChanged()
 	}
 	_ = now
 }
@@ -1117,8 +1151,16 @@ func (n *Network) NextHop(from, dst NodeID) Port {
 	if dst < 0 || int(dst) >= n.nodes {
 		return PortInvalid
 	}
+	if n.stale {
+		n.refreshRoutes()
+	}
 	return n.hop(&n.state[n.routers[from].ID], int32(dst))
 }
+
+// RouteBuilds reports how many times the fault-aware route tables were
+// built: once per fault event that a routing read followed, not once per
+// failed router.
+func (n *Network) RouteBuilds() uint64 { return n.tableBuilds }
 
 // Alive reports whether the node's router is functioning.
 func (n *Network) Alive(id NodeID) bool { return !n.state[n.routers[id].ID].faulty }
@@ -1127,10 +1169,10 @@ func (n *Network) Alive(id NodeID) bool { return !n.state[n.routers[id].ID].faul
 func (n *Network) FaultyCount() int { return n.faultyCnt }
 
 // Fail marks the router serving a node as failed, drains and accounts its
-// buffered packets, and recomputes fault-aware routes. On concentrated
-// topologies this takes the node's whole cluster off the fabric (the shared
-// router is the cluster's only attachment point). Failing an already-failed
-// router is a no-op.
+// buffered packets, and marks the fault-aware routes stale (routesChanged).
+// On concentrated topologies this takes the node's whole cluster off the
+// fabric (the shared router is the cluster's only attachment point).
+// Failing an already-failed router is a no-op.
 func (n *Network) Fail(id NodeID, now sim.Tick) {
 	r := n.routers[id]
 	rid := int(r.ID)
@@ -1166,29 +1208,8 @@ func (n *Network) Fail(id NodeID, now sim.Tick) {
 	}
 	n.drainBuf = lost[:0]
 	n.haveFaults = true
-	if n.cfg.Mode != RouteXY {
-		n.RecomputeRoutes() // stirs every parked router via applyRoutingRows
-	} else {
-		// No route recomputation under pure XY, but parked neighbours must
-		// still re-evaluate heads steering into the dead router.
-		n.stirAll()
-	}
+	n.routesChanged()
 	_ = now
-}
-
-// RecomputeRoutes rebuilds the fault-aware shortest-path tables. A huge
-// fabric never builds tables (they are O(nodes²)); it stays on live XY and
-// only re-evaluates parked heads.
-func (n *Network) RecomputeRoutes() {
-	if n.huge {
-		n.stirAll()
-		return
-	}
-	n.tables = computeTables(n.Topo, func(id NodeID) bool { return !n.state[n.routers[id].ID].faulty })
-	if !n.haveFaults && n.healthy == nil {
-		n.healthy = n.tables
-	}
-	n.applyRoutingRows()
 }
 
 // Reset restores the fabric to its as-constructed state in place: routers
@@ -1221,12 +1242,11 @@ func (n *Network) Reset() {
 	n.active.Clear()
 	n.haveFaults = false
 	n.faultyCnt = 0
-	for i := range n.byz {
-		n.byz[i] = byzState{}
-	}
+	n.byz = nil
 	n.byzCnt = 0
 	n.byzAny = false
 	n.stats = NetworkStats{}
+	n.stale = false
 	n.tables = n.healthy
 	n.applyRoutingRows()
 }
@@ -1247,6 +1267,9 @@ func (n *Network) Reachable(src, dst NodeID) bool {
 		// No tables to consult: optimistic under faults. A wrong answer
 		// costs a rescue retry through deadlock recovery, not correctness.
 		return true
+	}
+	if n.stale {
+		n.refreshRoutes()
 	}
 	return n.tables.NextHop(src, dst) != PortInvalid
 }

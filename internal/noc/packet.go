@@ -88,6 +88,10 @@ const (
 // Packet is the unit of NoC traffic. Packets are routed whole but occupy
 // their output link for Flits ticks (wormhole-style serialisation), so long
 // packets create exactly the back-pressure the intelligence models feed on.
+//
+// The byte-sized fields and the 4-byte handle share the word after ID, so
+// the struct packs into 136 bytes with no alignment padding: every arena
+// packet and every packet a snapshot holds pays for its fields only.
 type Packet struct {
 	// ID is unique within a run; the experiment harness uses it for
 	// conservation checks (every created packet is delivered, dropped, or
@@ -95,6 +99,17 @@ type Packet struct {
 	ID uint64
 	// Kind discriminates data / RCAP config / debug traffic.
 	Kind Kind
+	// Op is the register an RCAP Config packet writes (payload in Arg and
+	// Arg2).
+	Op         ConfigOp
+	lapsedSeen bool
+	// pooled marks a packet currently resting in a PacketPool free list; the
+	// pool uses it to catch double-recycles.
+	pooled bool
+	// h is the packet's arena handle, stamped by PacketPool.Get (or on first
+	// fabric contact for packets created outside the pool). It is only
+	// meaningful against the pool that issued it.
+	h PacketID
 
 	// Src and Dst are the endpoints. Dst is the *current* concrete
 	// destination; it can be rewritten by retargeting when the destination
@@ -129,21 +144,12 @@ type Packet struct {
 	// Retargets counts how many times the packet's Dst was rewritten.
 	Retargets int
 
-	// Op and Arg carry the RCAP payload of Config packets. Arg2 is the value
-	// operand for two-operand ops (e.g. AIM parameter writes).
-	Op         ConfigOp
-	Arg, Arg2  int
-	lapsedSeen bool
+	// Arg and Arg2 carry the RCAP payload of Config packets. Arg2 is the
+	// value operand for two-operand ops (e.g. AIM parameter writes).
+	Arg, Arg2 int
 	// requeues counts consecutive deadlock-recovery rotations at the current
 	// router; it resets on every successful forward.
 	requeues int
-	// pooled marks a packet currently resting in a PacketPool free list; the
-	// pool uses it to catch double-recycles.
-	pooled bool
-	// h is the packet's arena handle, stamped by PacketPool.Get (or on first
-	// fabric contact for packets created outside the pool). It is only
-	// meaningful against the pool that issued it.
-	h PacketID
 }
 
 // Handle returns the packet's generation-tagged arena handle (zero when the

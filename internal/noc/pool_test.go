@@ -2,6 +2,7 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 
 	"centurion/internal/sim"
 )
@@ -60,5 +61,13 @@ func TestPacketPoolAdoptsForeignPackets(t *testing.T) {
 	pp.Put(p)
 	if got := pp.Get(); got != p || got.ID != 0 {
 		t.Errorf("foreign packet not adopted and zeroed: %+v", got)
+	}
+}
+
+// TestPacketSize pins the packet layout: the byte-sized fields and the
+// handle share one word, so arena and snapshot packets carry no padding.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 136 {
+		t.Fatalf("Packet is %d bytes, want 136", got)
 	}
 }

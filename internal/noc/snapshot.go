@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
@@ -26,6 +27,13 @@ import (
 // checkpoint decoded from a file lacks the pointer; LoadState then recomputes
 // the tables from the restored fault flags, which is deterministic and yields
 // identical contents.
+//
+// A snapshot is compact: it keeps only the live arena packets and the
+// occupied ring slots. A free packet is always exactly Packet{pooled: true}
+// (Put clears it) and an empty slot is never read, so both are rebuilt on
+// load. The CENCKPT1 network section is still the dense dump — every arena
+// packet and every ring slot in place — so AppendBinary writes the free
+// packets and zeroed empty slots where they sit, and DecodeBinary compacts.
 
 // ArenaIndex resolves the arena slot a packet is bound to in this pool —
 // how higher layers record packet references in a checkpoint (the slot
@@ -44,20 +52,37 @@ func sliceFor[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// poolState captures a PacketPool: every bound slot's packet value, the
-// generation tags, the free list and the exact accounting counters, so a
-// restored pool's Stats and future Get/Put sequence are bit-identical.
+// poolState captures a PacketPool: the arena size, the live packets with
+// their arena indices, the generation tags, the free list and the exact
+// accounting counters, so a restored pool's Stats and future Get/Put
+// sequence are bit-identical. Free packets are not kept: each is exactly
+// Packet{pooled: true}.
 type poolState struct {
-	packets          []Packet
+	slots            int
+	live             []Packet
+	liveAt           []int32 // live's arena indices, ascending
 	gen              []uint32
 	free             []int32
 	news, gets, puts uint64
 }
 
+// freePacket is what every free arena slot holds (PacketPool.Put).
+var freePacket = Packet{pooled: true}
+
+// keep records arena slot i's packet when it is live.
+func (st *poolState) keep(i int, p *Packet) {
+	if !p.pooled {
+		st.live = append(st.live, *p)
+		st.liveAt = append(st.liveAt, int32(i))
+	}
+}
+
 func (pp *PacketPool) saveState(st *poolState) {
-	st.packets = sliceFor(st.packets, len(pp.slots))
+	st.slots = len(pp.slots)
+	st.live = slices.Grow(st.live[:0], len(pp.slots)-len(pp.free))
+	st.liveAt = slices.Grow(st.liveAt[:0], len(pp.slots)-len(pp.free))
 	for i, p := range pp.slots {
-		st.packets[i] = *p
+		st.keep(i, p)
 	}
 	st.gen = append(st.gen[:0], pp.gen...)
 	st.free = append(st.free[:0], pp.free...)
@@ -69,7 +94,7 @@ func (pp *PacketPool) saveState(st *poolState) {
 // it has; extra target slots are truncated away (their packets are
 // unreferenced after restore and simply return to the garbage collector).
 func (pp *PacketPool) loadState(st *poolState) {
-	want := len(st.packets)
+	want := st.slots
 	for len(pp.slots) < want {
 		if len(pp.slab) == 0 {
 			pp.slab = make([]Packet, slabSize)
@@ -81,8 +106,11 @@ func (pp *PacketPool) loadState(st *poolState) {
 	pp.slots = pp.slots[:want]
 	pp.gen = sliceFor(pp.gen, want)
 	copy(pp.gen, st.gen)
-	for i := range st.packets {
-		*pp.slots[i] = st.packets[i]
+	for _, p := range pp.slots {
+		*p = freePacket
+	}
+	for k, i := range st.liveAt {
+		*pp.slots[i] = st.live[k]
 	}
 	pp.free = append(pp.free[:0], st.free...)
 	pp.news, pp.gets, pp.puts = st.news, st.gets, st.puts
@@ -102,7 +130,9 @@ type routerCold struct {
 // single NetworkState may be restored into many platforms (forking): it is
 // read-only during LoadState.
 type NetworkState struct {
-	pool       poolState
+	pool poolState
+	// slots holds the occupied ring slots only: router record by record,
+	// port by port, oldest first. The records' ring heads place them.
 	slots      []ringSlot
 	recs       []routerState // per-uniq hot records, hop row detached
 	cold       []routerCold
@@ -128,13 +158,23 @@ type NetworkState struct {
 // SaveState deep-copies the fabric's mutable state into st, reusing st's
 // backing storage so a warm snapshot allocates nothing.
 func (n *Network) SaveState(st *NetworkState) {
+	if n.stale {
+		n.refreshRoutes()
+	}
 	n.pool.saveState(&st.pool)
-	st.slots = append(st.slots[:0], n.slots...)
 
+	st.slots = slices.Grow(st.slots[:0], n.InFlight())
 	st.recs = sliceFor(st.recs, len(n.uniq))
 	st.cold = sliceFor(st.cold, len(n.uniq))
 	for i, r := range n.uniq {
-		st.recs[i] = n.state[r.ID]
+		rec := &n.state[r.ID]
+		for p := range rec.rings {
+			rm := &rec.rings[p]
+			for k := uint32(0); k < rm.n; k++ {
+				st.slots = append(st.slots, n.slots[ringIndex(rm.head, k, n.sppMask)])
+			}
+		}
+		st.recs[i] = *rec
 		// The row is a view into the route tables, which travel by
 		// reference below; LoadState rebinds it.
 		st.recs[i].hop = nil
@@ -165,15 +205,27 @@ func (n *Network) LoadState(st *NetworkState) {
 			st.nodes, st.spp, st.uniqN, n.nodes, n.spp, len(n.uniq)))
 	}
 	n.pool.loadState(&st.pool)
-	copy(n.slots, st.slots)
 
+	// Only occupied ring slots are written: a slot outside [head, head+n)
+	// is never read, and AppendBinary writes empty slots as zeros.
+	k := 0
 	for i, r := range n.uniq {
-		// The router's coordinates are derived at construction and not
-		// serialized: keep them across the record overwrite.
+		if id := recRouter(&st.recs[i], n.spp); id != int(r.ID) {
+			panic(fmt.Sprintf("noc: checkpoint record %d belongs to router %d, fabric router is %d", i, id, r.ID))
+		}
+		// The router's coordinates and neighbour links are derived at
+		// construction: keep them across the record overwrite.
 		dst := &n.state[r.ID]
-		x, y := dst.x, dst.y
+		x, y, nbr := dst.x, dst.y, dst.nbr
 		*dst = st.recs[i]
-		dst.x, dst.y = x, y
+		dst.x, dst.y, dst.nbr = x, y, nbr
+		for p := range dst.rings {
+			rm := &dst.rings[p]
+			for j := uint32(0); j < rm.n; j++ {
+				n.slots[ringIndex(rm.head, j, n.sppMask)] = st.slots[k]
+				k++
+			}
+		}
 		cold := &st.cold[i]
 		r.deadlockLimit, r.requeueLimit, r.Stats = cold.deadlockLimit, cold.requeueLimit, cold.stats
 	}
@@ -186,15 +238,16 @@ func (n *Network) LoadState(st *NetworkState) {
 		}
 		copy(n.byz, st.byz)
 	} else {
-		// The source never armed byzantine state; byzAny=false keeps the
-		// slice unread, but zero it so a stale arming cannot leak into a
-		// later SetByzantine epoch.
-		clear(n.byz)
+		// The source never armed byzantine state: drop the target's, so a
+		// stale arming cannot leak into a later SetByzantine epoch and the
+		// target's next snapshot carries no byzantine records either.
+		n.byz = nil
 	}
 	n.byzCnt, n.byzAny = st.byzCnt, st.byzAny
 
 	n.haveFaults, n.faultyCnt = st.haveFaults, st.faultyCnt
 	n.stats = st.stats
+	n.stale = false
 
 	// Route tables: share the in-memory reference when the state carries
 	// one. A file-decoded state does not; recompute from the restored fault
@@ -206,14 +259,36 @@ func (n *Network) LoadState(st *NetworkState) {
 	case st.tables != nil:
 		n.tables = st.tables
 	case !n.huge && n.haveFaults && n.cfg.Mode != RouteXY:
-		n.tables = computeTables(n.Topo, func(id NodeID) bool { return !n.state[n.routers[id].ID].faulty })
+		n.tables = n.buildTables()
 	default:
 		n.tables = n.healthy
 	}
 	n.bindRows()
 }
 
+// ringIndex is the slot index of entry k (0 = oldest) of the ring whose
+// head is at slot head. Rings are power-of-two ranges of the slot slice, so
+// the ring's base is the head with its offset bits cleared.
+func ringIndex(head, k, mask uint32) uint32 {
+	return head&^mask | (head+k)&mask
+}
+
+// recRouter is the router whose record rec is: its rings' slot ranges
+// start at router*NumPorts*spp.
+func recRouter(rec *routerState, spp int) int {
+	return int(rec.rings[0].head) / (int(NumPorts) * spp)
+}
+
 // --- binary encoding (the network section of a checkpoint file) ---
+
+// Encoded sizes of the network section's fixed-size elements.
+const (
+	packetWireSize = 8 + 1 + 7*8 + 5*8 + 1 + 2*8 + 1 + 8 + 1 + 4
+	slotWireSize   = 8 + 8 + 4 + 4 + 2 + 2 + 2 + 1 + 1
+	recWireSize    = 8 + 4 + 6 + int(NumPorts)*(4*4+2*8)
+	coldWireSize   = 8 + 8 + 7*8
+	byzWireSize    = 4 + 1 + 8
+)
 
 func appendPacket(b []byte, p *Packet) []byte {
 	b = wire.AppendU64(b, p.ID)
@@ -304,6 +379,31 @@ func readRouterRec(r *wire.Reader, rec *routerState) {
 	rec.hop = nil
 }
 
+func appendSlot(b []byte, s *ringSlot) []byte {
+	b = wire.AppendI64(b, int64(s.ready))
+	b = wire.AppendI64(b, int64(s.deadline))
+	b = wire.AppendU32(b, uint32(s.id))
+	b = wire.AppendU32(b, uint32(s.dst))
+	b = wire.AppendU16(b, uint16(s.task))
+	b = wire.AppendU16(b, uint16(s.flits))
+	b = wire.AppendU16(b, s.hops)
+	b = wire.AppendU8(b, uint8(s.kind))
+	b = wire.AppendU8(b, s.flags)
+	return b
+}
+
+func readSlot(r *wire.Reader, s *ringSlot) {
+	s.ready = sim.Tick(r.I64())
+	s.deadline = sim.Tick(r.I64())
+	s.id = PacketID(r.U32())
+	s.dst = int32(r.U32())
+	s.task = int16(r.U16())
+	s.flits = int16(r.U16())
+	s.hops = r.U16()
+	s.kind = Kind(r.U8())
+	s.flags = r.U8()
+}
+
 func appendActiveSet(b []byte, st *sim.ActiveSetState) []byte {
 	b = wire.AppendU32(b, uint32(len(st.Words)))
 	for _, w := range st.Words {
@@ -343,17 +443,43 @@ func readRouterStats(r *wire.Reader, s *RouterStats) {
 	s.LapsesSeen = r.U64()
 }
 
+// EncodedLen is the exact length AppendBinary appends, computed without
+// encoding.
+func (st *NetworkState) EncodedLen() int {
+	return 4 + 4 + 4 + 1 +
+		4 + st.pool.slots*packetWireSize +
+		4 + 4*len(st.pool.gen) + 4 + 4*len(st.pool.free) + 3*8 +
+		4 + st.denseSlots()*slotWireSize +
+		4 + len(st.recs)*recWireSize + 4 + len(st.cold)*coldWireSize +
+		4 + 8*len(st.active.Words) + 8 +
+		1 + 4 + len(st.byz)*byzWireSize + 8 + 1 +
+		1 + 8 +
+		8*8
+}
+
+// denseSlots is the length of the fabric's ring-slot slice.
+func (st *NetworkState) denseSlots() int { return st.nodes * int(NumPorts) * st.spp }
+
 // AppendBinary serializes the state (excluding the shared route-table
-// reference, which LoadState recomputes after a file restore).
+// reference, which LoadState recomputes after a file restore) in the dense
+// layout: free packets and empty ring slots are written in place.
 func (st *NetworkState) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, st.EncodedLen())
 	b = wire.AppendU32(b, uint32(st.nodes))
 	b = wire.AppendU32(b, uint32(st.spp))
 	b = wire.AppendU32(b, uint32(st.uniqN))
 	b = wire.AppendBool(b, st.huge)
 
-	b = wire.AppendU32(b, uint32(len(st.pool.packets)))
-	for i := range st.pool.packets {
-		b = appendPacket(b, &st.pool.packets[i])
+	// The arena: every packet written free, then each live one overwritten
+	// in place.
+	b = wire.AppendU32(b, uint32(st.pool.slots))
+	start := len(b)
+	for range st.pool.slots {
+		b = appendPacket(b, &freePacket)
+	}
+	for k, i := range st.pool.liveAt {
+		off := start + int(i)*packetWireSize
+		appendPacket(b[off:off], &st.pool.live[k])
 	}
 	b = wire.AppendU32(b, uint32(len(st.pool.gen)))
 	for _, g := range st.pool.gen {
@@ -367,18 +493,24 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	b = wire.AppendU64(b, st.pool.gets)
 	b = wire.AppendU64(b, st.pool.puts)
 
-	b = wire.AppendU32(b, uint32(len(st.slots)))
-	for i := range st.slots {
-		s := &st.slots[i]
-		b = wire.AppendI64(b, int64(s.ready))
-		b = wire.AppendI64(b, int64(s.deadline))
-		b = wire.AppendU32(b, uint32(s.id))
-		b = wire.AppendU32(b, uint32(s.dst))
-		b = wire.AppendU16(b, uint16(s.task))
-		b = wire.AppendU16(b, uint16(s.flits))
-		b = wire.AppendU16(b, s.hops)
-		b = wire.AppendU8(b, uint8(s.kind))
-		b = wire.AppendU8(b, s.flags)
+	// The slot section: zeroed in bulk, then each occupied slot written in
+	// place (appending to a zero-length window at its offset).
+	dense := st.denseSlots()
+	b = wire.AppendU32(b, uint32(dense))
+	start = len(b)
+	b = slices.Grow(b, dense*slotWireSize)[:start+dense*slotWireSize]
+	clear(b[start:])
+	mask := uint32(st.spp - 1)
+	k := 0
+	for i := range st.recs {
+		for p := range st.recs[i].rings {
+			rm := &st.recs[i].rings[p]
+			for j := uint32(0); j < rm.n; j++ {
+				off := start + int(ringIndex(rm.head, j, mask))*slotWireSize
+				appendSlot(b[off:off], &st.slots[k])
+				k++
+			}
+		}
 	}
 
 	b = wire.AppendU32(b, uint32(len(st.recs)))
@@ -420,19 +552,29 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// DecodeBinary reads a state serialized by AppendBinary. The decoded state
-// carries no route-table reference; LoadState recomputes the tables from
-// the fault flags.
+// DecodeBinary reads a state serialized by AppendBinary and compacts it:
+// free packets and empty ring slots are dropped. The decoded state carries
+// no route-table reference; LoadState recomputes the tables from the fault
+// flags. A state compaction cannot place — a recycled packet that is not
+// cleared, a free-list index outside the arena or naming a live packet, a
+// ring head outside its router's ring — is an error.
 func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.nodes = int(r.U32())
 	st.spp = int(r.U32())
 	st.uniqN = int(r.U32())
 	st.huge = r.Bool()
 
-	n := r.Count(123) // serialized packet size
-	st.pool.packets = sliceFor(st.pool.packets, n)
-	for i := range st.pool.packets {
-		readPacket(r, &st.pool.packets[i])
+	n := r.Count(packetWireSize)
+	st.pool.slots = n
+	st.pool.live, st.pool.liveAt = st.pool.live[:0], st.pool.liveAt[:0]
+	var bad error
+	for i := 0; i < n; i++ {
+		var p Packet
+		readPacket(r, &p)
+		st.pool.keep(i, &p)
+		if p.pooled && p != freePacket && bad == nil {
+			bad = fmt.Errorf("noc: checkpoint arena packet %d is recycled but not cleared", i)
+		}
 	}
 	n = r.Count(4)
 	st.pool.gen = sliceFor(st.pool.gen, n)
@@ -448,27 +590,17 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.pool.gets = r.U64()
 	st.pool.puts = r.U64()
 
-	n = r.Count(27) // serialized ring-slot size
-	st.slots = sliceFor(st.slots, n)
-	for i := range st.slots {
-		s := &st.slots[i]
-		s.ready = sim.Tick(r.I64())
-		s.deadline = sim.Tick(r.I64())
-		s.id = PacketID(r.U32())
-		s.dst = int32(r.U32())
-		s.task = int16(r.U16())
-		s.flits = int16(r.U16())
-		s.hops = r.U16()
-		s.kind = Kind(r.U8())
-		s.flags = r.U8()
-	}
+	// The dense slot section is compacted once the router records, which
+	// say which slots are occupied, have been read.
+	dense := r.Count(slotWireSize)
+	raw := r.Bytes(dense * slotWireSize)
 
-	n = r.Count(14) // router record, lower bound
+	n = r.Count(recWireSize)
 	st.recs = sliceFor(st.recs, n)
 	for i := range st.recs {
 		readRouterRec(r, &st.recs[i])
 	}
-	n = r.Count(8)
+	n = r.Count(coldWireSize)
 	st.cold = sliceFor(st.cold, n)
 	for i := range st.cold {
 		c := &st.cold[i]
@@ -480,7 +612,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	readActiveSet(r, &st.active)
 
 	st.hasByz = r.Bool()
-	n = r.Count(13)
+	n = r.Count(byzWireSize)
 	st.byz = sliceFor(st.byz, n)
 	for i := range st.byz {
 		bz := &st.byz[i]
@@ -507,7 +639,96 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	return st.checkLengths()
+	if bad != nil {
+		return bad
+	}
+	if err := st.checkLengths(dense); err != nil {
+		return err
+	}
+	if err := st.checkFree(); err != nil {
+		return err
+	}
+	return st.compactSlots(raw)
+}
+
+// checkFree rejects a free list that names a slot outside the arena, a
+// live packet, or one slot twice: the rebuilt free packets would not be
+// the ones the file holds.
+func (st *NetworkState) checkFree() error {
+	pool := &st.pool
+	seen := make([]bool, pool.slots)
+	for _, f := range pool.free {
+		if f < 0 || int(f) >= pool.slots {
+			return fmt.Errorf("noc: checkpoint free-list index %d outside the %d-packet arena", f, pool.slots)
+		}
+		if _, live := slices.BinarySearch(pool.liveAt, f); live || seen[f] {
+			return fmt.Errorf("noc: checkpoint free-list index %d names a live or already-free packet", f)
+		}
+		seen[f] = true
+	}
+	return nil
+}
+
+// compactSlots keeps the occupied entries of the dense slot section raw,
+// in the order SaveState records them. Every record's rings must lie in
+// one router's ring ranges, records must name ascending routers, and no
+// ring may hold more entries than it has slots.
+func (st *NetworkState) compactSlots(raw []byte) error {
+	st.slots = st.slots[:0]
+	mask := uint32(st.spp - 1)
+	prev := -1
+	for i := range st.recs {
+		rec := &st.recs[i]
+		id := recRouter(rec, st.spp)
+		if id <= prev || id >= st.nodes {
+			return fmt.Errorf("noc: checkpoint router record %d has ring head %d outside the arena or out of order",
+				i, rec.rings[0].head)
+		}
+		prev = id
+		for p := range rec.rings {
+			rm := &rec.rings[p]
+			if int(rm.head)/st.spp != id*int(NumPorts)+p || rm.n > uint32(st.spp) {
+				return fmt.Errorf("noc: checkpoint router record %d port %d has ring head %d and %d entries outside its ring",
+					i, p, rm.head, rm.n)
+			}
+			for j := uint32(0); j < rm.n; j++ {
+				off := int(ringIndex(rm.head, j, mask)) * slotWireSize
+				var s ringSlot
+				readSlot(wire.NewReader(raw[off:off+slotWireSize]), &s)
+				st.slots = append(st.slots, s)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckTopology rejects a decoded state that cannot restore into a fabric
+// over the kind topology on a w×h grid: a different node count, or router
+// records that do not name its routers one for one in ascending order.
+// LoadState panics on either; a file is checked here, where its topology
+// is known, so a corrupt one is an error instead.
+func (st *NetworkState) CheckTopology(kind string, w, h int) error {
+	if w <= 0 || st.nodes%w != 0 || h != st.nodes/w || st.huge != (st.nodes > hugeNodes) {
+		return fmt.Errorf("noc: checkpoint is for %d nodes, its topology is %dx%d", st.nodes, w, h)
+	}
+	topo, err := MakeTopology(kind, w, h)
+	if err != nil {
+		return err
+	}
+	i := 0
+	for id := 0; id < st.nodes; id++ {
+		if topo.RouterOf(NodeID(id)) != NodeID(id) {
+			continue
+		}
+		if i == len(st.recs) || recRouter(&st.recs[i], st.spp) != id {
+			return fmt.Errorf("noc: checkpoint router record %d does not belong to router %d", i, id)
+		}
+		i++
+	}
+	if i != len(st.recs) {
+		return fmt.Errorf("noc: checkpoint has %d router records, topology has %d routers", len(st.recs), i)
+	}
+	return nil
 }
 
 // checkLengths rejects a decoded state whose section lengths disagree with
@@ -515,15 +736,18 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 // router, the fabric's full slot slice, one byzantine record per node), so
 // a corrupt file whose checksum still matches would otherwise panic there
 // instead of failing here.
-func (st *NetworkState) checkLengths() error {
+func (st *NetworkState) checkLengths(dense int) error {
 	if len(st.recs) != st.uniqN || len(st.cold) != st.uniqN {
 		return fmt.Errorf("noc: checkpoint has %d router records and %d cold records for %d routers",
 			len(st.recs), len(st.cold), st.uniqN)
 	}
+	if st.spp <= 0 || st.spp&(st.spp-1) != 0 {
+		return fmt.Errorf("noc: checkpoint has %d slots per ring, want a power of two", st.spp)
+	}
 	hi, want := bits.Mul64(uint64(st.nodes)*uint64(NumPorts), uint64(st.spp))
-	if hi != 0 || uint64(len(st.slots)) != want {
+	if hi != 0 || uint64(dense) != want {
 		return fmt.Errorf("noc: checkpoint has %d ring slots, want %d nodes × %d ports × %d",
-			len(st.slots), st.nodes, NumPorts, st.spp)
+			dense, st.nodes, NumPorts, st.spp)
 	}
 	wantByz := 0
 	if st.hasByz {

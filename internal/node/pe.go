@@ -143,6 +143,9 @@ type PE struct {
 	outbox  []*noc.Packet
 
 	joins map[uint64]joinState
+	// joinsPeak is the largest backlog joins has held since it was made —
+	// allocation bookkeeping for resetJoins, not simulation state.
+	joinsPeak int
 	// outstanding tracks un-acked instances (flow control). It is bounded
 	// by the window (8 by default), so a flat slice with linear scans beats
 	// a map on the per-tick generate/ack/wake paths.
@@ -334,7 +337,7 @@ func (pe *PE) Restart(task taskgraph.TaskID, genPhase sim.Tick) {
 	pe.freqDiv = 1
 	pe.busyEnd = 0
 	pe.nextGen = genPhase
-	clear(pe.joins)
+	pe.resetJoins()
 	pe.outstanding = pe.outstanding[:0]
 	pe.admitRefused = false
 	pe.nextJoin = 0
@@ -696,6 +699,25 @@ func (pe *PE) finishJoin(p *noc.Packet, now sim.Tick) {
 		return
 	}
 	pe.joins[p.Instance] = js
+	pe.joinsPeak = max(pe.joinsPeak, len(pe.joins))
+}
+
+// joinMapGroup is the number of entries a Go map keeps in the single
+// 8-slot group it starts with; past that it grows tables it never gives
+// back, and only then is replacing the map worth an allocation.
+const joinMapGroup = 8
+
+// resetJoins empties the join map for a new run or a restore. A Go map
+// never shrinks, so a map whose backlog once outgrew one slot group is
+// replaced rather than cleared: otherwise a pooled platform's join maps
+// would stay sized to the largest backlog any earlier run left there.
+func (pe *PE) resetJoins() {
+	if pe.joinsPeak > joinMapGroup {
+		pe.joins = make(map[uint64]joinState)
+	} else {
+		clear(pe.joins)
+	}
+	pe.joinsPeak = 0
 }
 
 // retarget re-addresses a packet that arrived for a task this node no

@@ -145,11 +145,12 @@ func (pe *PE) LoadState(st *PEState, pool *noc.PacketPool) {
 	if pe.joins == nil {
 		pe.joins = make(map[uint64]joinState, len(st.Joins))
 	} else {
-		clear(pe.joins)
+		pe.resetJoins()
 	}
 	for _, j := range st.Joins {
 		pe.joins[j.Inst] = joinState{seen: j.Seen, origin: j.Origin, lastTouch: j.LastTouch}
 	}
+	pe.joinsPeak = len(pe.joins)
 
 	pe.outstanding = grow(pe.outstanding, len(st.Outstanding))
 	for i, o := range st.Outstanding {

@@ -104,6 +104,10 @@ func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
+// Bytes returns the next n bytes without copying them (nil after a short
+// read), for sections a decoder must parse after later fields.
+func (r *Reader) Bytes(n int) []byte { return r.take(n) }
+
 // String reads a u32-length-prefixed string written by AppendString.
 func (r *Reader) String() string {
 	n := r.Count(1)
